@@ -3,81 +3,7 @@ plus a seeded Monte-Carlo system-identification benchmark harness."""
 
 __version__ = "0.1.0"
 
-from .filters import (
-    DivergedError,
-    FilterConfig,
-    FilterState,
-    FracPowerPolicy,
-    Regressor,
-    cost,
-    flms_step,
-    frac_power,
-    fractional_gradient,
-    gamma,
-    initial_state,
-    integer_gradient,
-    predict,
-    rvss_flms_step,
-)
-from .metrics import (
-    EnsembleReport,
-    build_report,
-    convergence_iteration,
-    ensemble_mse_db,
-    ensemble_nwd_db,
-    nwd_db,
-    steady_state_level,
-)
-from .simulate import (
-    AlgorithmSpec,
-    ExperimentConfig,
-    PlantSpec,
-    RunSeries,
-    bpsk_sequence,
-    clean_plant_power,
-    plant_output,
-    run_ensemble,
-    run_identification,
-    snr_to_variance,
-    stream,
-)
-from .stepsize import StepSizeParams, update_correlation, update_step_size
+from .filters import FilterConfig
+from .simulate import PlantSpec, run_identification, stream
 
-__all__ = [
-    "__version__",
-    "DivergedError",
-    "FilterConfig",
-    "FilterState",
-    "FracPowerPolicy",
-    "Regressor",
-    "cost",
-    "predict",
-    "integer_gradient",
-    "frac_power",
-    "fractional_gradient",
-    "gamma",
-    "flms_step",
-    "rvss_flms_step",
-    "initial_state",
-    "StepSizeParams",
-    "update_correlation",
-    "update_step_size",
-    "PlantSpec",
-    "AlgorithmSpec",
-    "ExperimentConfig",
-    "RunSeries",
-    "stream",
-    "bpsk_sequence",
-    "clean_plant_power",
-    "snr_to_variance",
-    "plant_output",
-    "run_identification",
-    "run_ensemble",
-    "EnsembleReport",
-    "nwd_db",
-    "ensemble_mse_db",
-    "ensemble_nwd_db",
-    "steady_state_level",
-    "convergence_iteration",
-    "build_report",
-]
+__all__ = ["__version__", "FilterConfig", "PlantSpec", "run_identification", "stream"]

@@ -58,7 +58,8 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         print(f"aborted, output may be partial (no manifest written): {exc}", file=sys.stderr)
         return 2
-    for row in read_summary(Path(args.out) / "summary.csv"):
+    rows = read_summary(Path(args.out) / "summary.csv")
+    for row in rows:
         print(
             f"{row['algorithm']:>9}  {row['snr_db']:>5g} dB  "
             f"mse {row['steady_mse_db']:8.2f} dB @ {str(row['mse_conv_iter']):>4}  "
@@ -66,7 +67,10 @@ def _cmd_run(args) -> int:
             f"runs {row['runs_used']} (+{row['runs_diverged']} diverged)"
         )
     print(f"artifacts written to {args.out}")
-    return 0
+    empty = [row for row in rows if row["runs_used"] == 0]
+    for row in empty:
+        print(f"error: every run of {row['algorithm']} at {row['snr_db']:g} dB diverged", file=sys.stderr)
+    return 1 if empty else 0
 
 
 def _cmd_verify(args) -> int:

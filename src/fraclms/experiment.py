@@ -118,7 +118,9 @@ def run_experiment(
 
     Writes, under out_dir: one curves CSV per (algorithm, SNR) cell, one
     MSE and one NWD SVG per SNR, summary.csv, and manifest.json (last).
-    Diverged runs are excluded from averages and counted per cell.
+    Diverged runs are excluded from averages and counted per cell.  A cell
+    whose runs all diverged gets only its summary row (runs_used 0, NaN
+    levels) and is left out of the curves and plots.
     """
     if not isinstance(config, ExperimentConfig):
         config = load(config)
@@ -166,12 +168,17 @@ def run_experiment(
     for (name, snr), (series, diverged) in results.items():
         report = build_report(series, runs_diverged=diverged)
         reports[(name, snr)] = report
+        if report.runs_used == 0:
+            continue
         fname = f"{name}_{_snr_tag(snr)}.csv"
         _write_curves(out / fname, report)
         artifact_paths["curves"][f"{name}@{_snr_tag(snr)}"] = fname
 
     for snr in config.snr_db_list:
         per_algo = {LABELS[s.name]: reports[(s.name, snr)] for s in config.algorithms}
+        per_algo = {label: r for label, r in per_algo.items() if r.runs_used > 0}
+        if not per_algo:
+            continue
         for kind in ("mse", "nwd"):
             fname = f"{kind}_{_snr_tag(snr)}.svg"
             emit_plot(per_algo, out / fname, kind)
@@ -262,6 +269,7 @@ def _read_table(path, fields, kind: str) -> list[dict]:
         if got != tuple(fields):
             raise FormatError(f"{path} is not a {kind} file: header {got} != {tuple(fields)}")
         rows = []
+        seen = set()
         for lineno, raw in enumerate(reader, start=2):
             row = {"algorithm": raw["algorithm"]}
             where = f"{path}:{lineno}"
@@ -271,6 +279,10 @@ def _read_table(path, fields, kind: str) -> list[dict]:
                 row["steady_nwd_db"] = float(raw["steady_nwd_db"])
             except (TypeError, ValueError) as exc:
                 raise FormatError(f"{where}: bad numeric field: {exc}") from exc
+            key = (row["algorithm"], row["snr_db"])
+            if key in seen:
+                raise FormatError(f"{where}: duplicate row for {key[0]} at {key[1]:g} dB")
+            seen.add(key)
             row["mse_conv_iter"] = _parse_iter_field(raw["mse_conv_iter"], where)
             row["nwd_conv_iter"] = _parse_iter_field(raw["nwd_conv_iter"], where)
             for extra in ("runs_used", "runs_diverged"):

@@ -10,7 +10,8 @@ the step size from a low-pass filtered error autocorrelation (see
 
 All operations are pure: they take a state and return a new state, so
 independent filter instances can be advanced in parallel.  A single state
-must only be advanced one step at a time.
+must only be advanced one step at a time.  The tap window x passed to the
+updates is a plain array of recent inputs, most recent first.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ __all__ = [
     "FracPowerPolicy",
     "FilterConfig",
     "FilterState",
-    "Regressor",
     "DivergedError",
     "cost",
+    "tap_dot",
     "predict",
     "integer_gradient",
     "frac_power",
@@ -138,13 +139,6 @@ class FilterState:
     iteration: int = 0
 
 
-@dataclass(slots=True)
-class Regressor:
-    """Tap-delay window of recent inputs, most recent first."""
-
-    taps: np.ndarray
-
-
 def initial_state(cfg: FilterConfig) -> FilterState:
     """Fresh state: all weights at weight_init, nu at nu_init, no history."""
     w = np.full(cfg.tap_count, float(cfg.weight_init))
@@ -156,42 +150,37 @@ def cost(error: float) -> float:
     return 0.5 * error * error
 
 
-def predict(state: FilterState, reg: Regressor) -> float:
-    """Filter output: inner product of the weights with the regressor.
+def tap_dot(a, b) -> float:
+    """Inner product accumulated in tap order, from 0.0, in python floats.
 
-    Accumulates in tap order so results are bit-reproducible against any
-    plain sequential implementation.
+    Every inner product of the simulation goes through here so results
+    are bit-reproducible against any plain sequential implementation.
     """
-    w = state.weights
-    x = reg.taps
-    if len(w) != len(x):
-        raise ValueError(f"regressor length {len(x)} does not match tap count {len(w)}")
     acc = 0.0
-    for i in range(len(w)):
-        acc += float(w[i]) * float(x[i])
+    for i in range(len(a)):
+        acc += float(a[i]) * float(b[i])
     return acc
 
 
-def integer_gradient(error: float, reg: Regressor) -> np.ndarray:
+def predict(state: FilterState, x: np.ndarray) -> float:
+    """Filter output: inner product of the weights with the tap window x."""
+    w = state.weights
+    if len(w) != len(x):
+        raise ValueError(f"regressor length {len(x)} does not match tap count {len(w)}")
+    return tap_dot(w, x)
+
+
+def integer_gradient(error: float, x: np.ndarray) -> np.ndarray:
     """Gradient of the quadratic cost w.r.t. the weights: -error * x."""
-    return -error * reg.taps
+    return -error * x
 
 
-def frac_power(w: float, exponent: float, policy: FracPowerPolicy = FracPowerPolicy.SIGNED_MAGNITUDE) -> float:
-    """Evaluate w**exponent for exponent in (0, 1) and any real w.
+def frac_power(w, exponent: float, policy: FracPowerPolicy = FracPowerPolicy.SIGNED_MAGNITUDE):
+    """Evaluate w**exponent elementwise for exponent in (0, 1) and any real w.
 
     Total function: negative bases go through the configured policy and
     w = 0 maps to 0 under both policies.
     """
-    if w == 0.0:
-        return 0.0
-    mag = abs(w) ** exponent
-    if policy is FracPowerPolicy.MAGNITUDE_ONLY:
-        return mag
-    return -mag if w < 0.0 else mag
-
-
-def _frac_power_vec(w: np.ndarray, exponent: float, policy: FracPowerPolicy) -> np.ndarray:
     mag = np.abs(w) ** exponent
     if policy is FracPowerPolicy.MAGNITUDE_ONLY:
         return mag
@@ -212,7 +201,7 @@ def gamma(x: float) -> float:
 
 def fractional_gradient(
     error: float,
-    reg: Regressor,
+    x: np.ndarray,
     state: FilterState,
     f: float,
     policy: FracPowerPolicy = FracPowerPolicy.SIGNED_MAGNITUDE,
@@ -220,8 +209,8 @@ def fractional_gradient(
     """Fractional-order gradient term: -error * x * w**(1-f) / gamma(2-f)."""
     if not 0.0 < f < 1.0:
         raise ValueError(f"fractional order must lie in (0, 1), got {f}")
-    wp = _frac_power_vec(state.weights, 1.0 - f, policy)
-    return -error * reg.taps * wp / gamma(2.0 - f)
+    wp = frac_power(state.weights, 1.0 - f, policy)
+    return -error * x * wp / gamma(2.0 - f)
 
 
 def _check_finite(weights: np.ndarray, error: float, nu: float, iteration: int) -> None:
@@ -230,7 +219,7 @@ def _check_finite(weights: np.ndarray, error: float, nu: float, iteration: int) 
 
 
 def flms_step(
-    state: FilterState, reg: Regressor, desired: float, cfg: FilterConfig
+    state: FilterState, x: np.ndarray, desired: float, cfg: FilterConfig
 ) -> tuple[FilterState, float]:
     """One FLMS update with constant step sizes nu_init and nu_f_init.
 
@@ -240,17 +229,17 @@ def flms_step(
     Returns the advanced state and the prediction error; raises
     :class:`DivergedError` if the update produces a non-finite value.
     """
-    error = desired - predict(state, reg)
+    error = desired - predict(state, x)
     f = cfg.frac_order
-    wp = _frac_power_vec(state.weights, 1.0 - f, cfg.frac_power_policy)
-    w = state.weights + (cfg.nu_init * error) * reg.taps + (cfg.nu_f_init * error) * reg.taps * wp / gamma(2.0 - f)
+    wp = frac_power(state.weights, 1.0 - f, cfg.frac_power_policy)
+    w = state.weights + (cfg.nu_init * error) * x + (cfg.nu_f_init * error) * x * wp / gamma(2.0 - f)
     _check_finite(w, error, state.nu, state.iteration)
     new = FilterState(weights=w, nu=state.nu, p=state.p, prev_error=error, iteration=state.iteration + 1)
     return new, error
 
 
 def rvss_flms_step(
-    state: FilterState, reg: Regressor, desired: float, cfg: FilterConfig
+    state: FilterState, x: np.ndarray, desired: float, cfg: FilterConfig
 ) -> tuple[FilterState, float]:
     """One RVSS-FLMS update.
 
@@ -258,9 +247,9 @@ def rvss_flms_step(
     step size; afterwards the error-energy correlation p and the step size
     nu are advanced, so the returned state carries nu(n+1).
     """
-    error = desired - predict(state, reg)
-    wp = _frac_power_vec(state.weights, 1.0 - cfg.frac_order, cfg.frac_power_policy)
-    w = state.weights + (state.nu * error) * reg.taps * (1.0 + wp)
+    error = desired - predict(state, x)
+    wp = frac_power(state.weights, 1.0 - cfg.frac_order, cfg.frac_power_policy)
+    w = state.weights + (state.nu * error) * x * (1.0 + wp)
     p = update_correlation(state.p, error, state.prev_error, cfg.alpha)
     nu = update_step_size(state.nu, p, cfg)
     _check_finite(w, error, nu, state.iteration)

@@ -15,6 +15,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
+from .filters import tap_dot
+
 if TYPE_CHECKING:  # pragma: no cover
     from .simulate import RunSeries
 
@@ -46,43 +48,38 @@ class EnsembleReport:
     runs_diverged: int
 
 
-def _norm_sq(values) -> float:
-    acc = 0.0
-    for v in values:
-        fv = float(v)
-        acc += fv * fv
-    return acc
-
-
 def nwd_db(estimated, truth) -> float:
     """Normalized weight difference in dB: 20*log10(||truth - est|| / ||truth||)."""
     t = np.asarray(truth, dtype=float)
     e = np.asarray(estimated, dtype=float)
     if t.shape != e.shape:
         raise ValueError(f"length mismatch: estimated {e.shape} vs truth {t.shape}")
-    tnorm2 = _norm_sq(t)
+    tnorm2 = tap_dot(t, t)
     if tnorm2 == 0.0:
         raise ValueError("truth vector must be nonzero")
-    dnorm2 = _norm_sq(t - e)
+    d = t - e
+    dnorm2 = tap_dot(d, d)
     if dnorm2 == 0.0:
         return DB_FLOOR
     return max(10.0 * math.log10(dnorm2 / tnorm2), DB_FLOOR)
 
 
-def ensemble_mse_db(runs: Sequence["RunSeries"]) -> np.ndarray:
-    """Per-iteration mean of e**2 across runs, in dB.
-
-    Summation follows the given run order so the result is deterministic.
-    """
-    if len(runs) == 0:
+def _ensemble_mean(curves: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-iteration mean of equal-length curves, summed in run order for determinism."""
+    if len(curves) == 0:
         raise ValueError("empty ensemble: no runs to average")
-    n = len(runs[0].squared_error)
+    n = len(curves[0])
     acc = np.zeros(n)
-    for r in runs:
-        if len(r.squared_error) != n:
+    for c in curves:
+        if len(c) != n:
             raise ValueError("all runs must have the same length")
-        acc += r.squared_error
-    mean = acc / len(runs)
+        acc += c
+    return acc / len(curves)
+
+
+def ensemble_mse_db(runs: Sequence["RunSeries"]) -> np.ndarray:
+    """Per-iteration mean of e**2 across runs, in dB."""
+    mean = _ensemble_mean([r.squared_error for r in runs])
     with np.errstate(divide="ignore"):
         out = 10.0 * np.log10(mean)
     return np.maximum(out, DB_FLOOR)
@@ -90,15 +87,7 @@ def ensemble_mse_db(runs: Sequence["RunSeries"]) -> np.ndarray:
 
 def ensemble_nwd_db(runs: Sequence["RunSeries"]) -> np.ndarray:
     """Per-iteration mean of the per-run NWD curves (already in dB)."""
-    if len(runs) == 0:
-        raise ValueError("empty ensemble: no runs to average")
-    n = len(runs[0].nwd_db)
-    acc = np.zeros(n)
-    for r in runs:
-        if len(r.nwd_db) != n:
-            raise ValueError("all runs must have the same length")
-        acc += r.nwd_db
-    return acc / len(runs)
+    return _ensemble_mean([r.nwd_db for r in runs])
 
 
 def steady_state_level(curve_db, tail_fraction: float = 0.25) -> float:
@@ -115,12 +104,12 @@ def steady_state_level(curve_db, tail_fraction: float = 0.25) -> float:
 def convergence_iteration(curve_db, steady_db: float, margin_db: float = 1.0) -> Optional[int]:
     """Smallest n with curve[m] <= steady_db + margin_db for every m >= n.
 
-    Returns None when even the final sample sits above the threshold.
+    Returns None when even the final sample sits above the threshold (NaN counts as above).
     """
     if margin_db <= 0.0:
         raise ValueError(f"margin_db must be > 0, got {margin_db}")
     c = np.asarray(curve_db, dtype=float)
-    above = np.nonzero(c > steady_db + margin_db)[0]
+    above = np.nonzero(~(c <= steady_db + margin_db))[0]
     if above.size == 0:
         return 0
     n = int(above[-1]) + 1
@@ -133,7 +122,12 @@ def build_report(
     tail_fraction: float = 0.25,
     margin_db: float = 1.0,
 ) -> EnsembleReport:
-    """Aggregate non-diverged runs into an EnsembleReport."""
+    """Aggregate non-diverged runs into an EnsembleReport.
+
+    With no runs (all diverged) the curves are empty and the levels NaN.
+    """
+    if len(runs) == 0:
+        return EnsembleReport(np.empty(0), np.empty(0), math.nan, None, math.nan, None, 0, runs_diverged)
     mse = ensemble_mse_db(runs)
     nwd = ensemble_nwd_db(runs)
     s_mse = steady_state_level(mse, tail_fraction)

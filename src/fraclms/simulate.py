@@ -18,10 +18,10 @@ import numpy as np
 from .filters import (
     DivergedError,
     FilterConfig,
-    Regressor,
     flms_step,
     initial_state,
     rvss_flms_step,
+    tap_dot,
 )
 from .metrics import nwd_db
 
@@ -91,6 +91,8 @@ class ExperimentConfig:
             bad.append("snr_db list must be non-empty")
         elif not all(math.isfinite(s) for s in self.snr_db_list):
             bad.append(f"snr_db values must be finite, got {self.snr_db_list}")
+        for snr in sorted({s for s in self.snr_db_list if self.snr_db_list.count(s) > 1}):
+            bad.append(f"snr_db value {snr:g} listed twice")
         if self.monte_carlo_runs < 1:
             bad.append(f"monte_carlo_runs must be >= 1, got {self.monte_carlo_runs}")
         if not 0 <= self.rng_seed < 2**64:
@@ -152,15 +154,11 @@ def snr_to_variance(snr_db: float, signal_power: float) -> float:
     return signal_power / 10.0 ** (snr_db / 10.0)
 
 
-def plant_output(x_window: Regressor, spec: PlantSpec, rng: np.random.Generator) -> float:
-    """One noisy plant sample: coeffs . window + N(0, disturbance_variance)."""
-    taps = x_window.taps
-    if len(spec.coeffs) != len(taps):
-        raise ValueError(f"window length {len(taps)} does not match plant order {len(spec.coeffs)}")
-    acc = 0.0
-    for i, c in enumerate(spec.coeffs):
-        acc += c * float(taps[i])
-    return acc + float(rng.standard_normal()) * math.sqrt(spec.disturbance_variance)
+def plant_output(x: np.ndarray, spec: PlantSpec, rng: np.random.Generator) -> float:
+    """One noisy plant sample: coeffs . x + N(0, disturbance_variance), x newest first."""
+    if len(spec.coeffs) != len(x):
+        raise ValueError(f"window length {len(x)} does not match plant order {len(spec.coeffs)}")
+    return tap_dot(spec.coeffs, x) + float(rng.standard_normal()) * math.sqrt(spec.disturbance_variance)
 
 
 def _dispatch(algorithm: str, cfg: FilterConfig):
@@ -203,13 +201,13 @@ def run_identification(
     e2 = np.empty(n_samples)
     nwd = np.empty(n_samples)
     for n in range(n_samples):
-        reg = Regressor(padded[n : n + k][::-1])
-        desired = plant_output(reg, plant, d_rng)
-        state, err = step_fn(state, reg, desired, step_cfg)
+        x_n = padded[n : n + k][::-1]
+        desired = plant_output(x_n, plant, d_rng)
+        state, err = step_fn(state, x_n, desired, step_cfg)
         sq = err * err
         val = nwd_db(state.weights, truth)
         if not (math.isfinite(sq) and math.isfinite(val)):
-            # the error or weight magnitude overflowed the recorded traces
+            # _check_finite passes a finite error or weight whose square overflows
             raise DivergedError(n)
         e2[n] = sq
         nwd[n] = val

@@ -19,7 +19,6 @@ from fraclms.experiment import read_summary, run_experiment
 from fraclms.filters import (
     FilterConfig,
     FilterState,
-    Regressor,
     cost,
     flms_step,
     fractional_gradient,
@@ -120,7 +119,7 @@ def _check_zero_error_fixed_point():
         nu_min=0.005, nu_max=0.03, alpha=0.5, beta=0.5, gamma=0.5,
     )
     st = FilterState(np.array([0.4, -0.2, 0.7]), 0.01, 0.2, 0.1, 0)
-    reg = Regressor(np.array([1.0, -1.0, 1.0]))
+    reg = np.array([1.0, -1.0, 1.0])
     d = predict(st, reg)
     for step in (flms_step, rvss_flms_step):
         new, err = step(st, reg, d, cfg)
@@ -138,7 +137,7 @@ def _check_lms_degeneracy():
     for _ in range(100):
         x = rng.uniform(-1.5, 1.5, size=2)
         d = float(rng.uniform(-2.0, 2.0))
-        st, e = flms_step(st, Regressor(x), d, cfg)
+        st, e = flms_step(st, x, d, cfg)
         y = w[0] * x[0] + w[1] * x[1]
         e_ref = d - y
         w = [w[0] + (cfg.nu_init * e_ref) * x[0], w[1] + (cfg.nu_init * e_ref) * x[1]]
@@ -152,7 +151,7 @@ def _check_gradient_finite_differences():
         w = rng.uniform(-2.0, 2.0, size=3)
         x = rng.uniform(-2.0, 2.0, size=3)
         d = float(rng.uniform(-3.0, 3.0))
-        reg = Regressor(x)
+        reg = x
         st = FilterState(w, 0.01, 0.0, 0.0, 0)
         grad = integer_gradient(d - predict(st, reg), reg)
         for k in range(3):
@@ -172,7 +171,7 @@ def _check_fractional_consistency():
         w = rng.uniform(0.1, 3.0, size=3)
         x = rng.uniform(-2.0, 2.0, size=3)
         e = float(rng.uniform(-2.0, 2.0))
-        reg = Regressor(x)
+        reg = x
         st = FilterState(w, 0.01, 0.0, 0.0, 0)
         np.testing.assert_allclose(
             fractional_gradient(e, reg, st, f), integer_gradient(e, reg), rtol=1e-6, atol=1e-12
@@ -264,7 +263,7 @@ def test_criterion_5_oracle_transcript():
     compared = transcript_oracle.check_transcript(
         rvss_flms_step,
         initial_state,
-        lambda x: Regressor(np.array([x])),
+        lambda x: np.array([x]),
         FilterConfig,
     )
     _print_verdict(5, "recurrence transcript", True, f"{compared} values at 12 significant digits")

@@ -130,6 +130,11 @@ def test_all_violations_listed_together():
     assert len(exc.value.problems) >= 3
 
 
+def test_repeated_snr_is_error():
+    with pytest.raises(ConfigError, match="snr_db value 20 listed twice"):
+        loads(GOOD.replace("snr_db = 10, 20", "snr_db = 20, 20"))
+
+
 def test_non_numeric_value_reported():
     with pytest.raises(ConfigError, match="not a number"):
         loads(GOOD.replace("beta = 0.5", "beta = fast"))

@@ -208,6 +208,19 @@ class TestCompareToReference:
         assert by_key[("RVSS-FLMS", 40.0)]["mse_conv_iter"] == 65
         assert by_key[("FLMS", 30.0)]["steady_nwd_db"] == -25.06
 
+    def test_duplicate_rows_raise(self, small_run, tmp_path):
+        out, _ = small_run
+        rows = read_summary(out / "summary.csv")
+        lines = (out / "summary.csv").read_text().splitlines()
+        summary = tmp_path / "summary.csv"
+        summary.write_text("\n".join(lines + [lines[1]]) + "\n")
+        with pytest.raises(FormatError, match="duplicate row"):
+            read_summary(summary)
+        ref = tmp_path / "dup.reference"
+        summary_to_reference(rows + rows[:1], ref)
+        with pytest.raises(FormatError, match="duplicate row"):
+            compare_to_reference(out / "summary.csv", ref)
+
     def test_schema_mismatch_raises(self, small_run, tmp_path):
         out, _ = small_run
         with pytest.raises(FormatError):
@@ -315,6 +328,31 @@ class TestCli:
         curves = [str(out / "lms_10dB.csv"), str(out / "flms_10dB.csv")]
         assert cli.main(["plot", *curves, "--kind", "mse", "--out", str(svg)]) == 0
         assert svg.read_text().count("<polyline") == 2
+
+    def test_all_runs_diverged_cell_reported(self, tmp_path, capsys):
+        text = SMALL.replace("samples_per_run = 64", "samples_per_run = 50")
+        text = text.replace("monte_carlo_runs = 3", "monte_carlo_runs = 2")
+        text += "\n[filter.lms]\nnu_init = 1e4\nnu_min = 1e4\nnu_max = 2e4\n"
+        config = tmp_path / "lms-diverges.config"
+        config.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "LMS at 10 dB" in err and "LMS at 30 dB" in err
+        for row in read_summary(out / "summary.csv"):
+            if row["algorithm"] == "LMS":
+                assert np.isnan(row["steady_mse_db"]) and np.isnan(row["steady_nwd_db"])
+                assert row["mse_conv_iter"] is None and row["nwd_conv_iter"] is None
+                assert (row["runs_used"], row["runs_diverged"]) == (0, 2)
+            else:
+                assert row["runs_used"] == 2
+        assert not list(out.glob("lms_*.csv"))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["artifact_paths"]["curves"].values()) == sorted(
+            p.name for p in out.glob("*.csv") if p.name != "summary.csv"
+        )
+        for fname in manifest["artifact_paths"]["plots"].values():
+            assert (out / fname).read_text().count("<polyline") == 2
 
     def test_bench_flag_prints_timings(self, tmp_path, capsys):
         config = tmp_path / "tiny.config"

@@ -11,7 +11,6 @@ from fraclms.filters import (
     FilterConfig,
     FilterState,
     FracPowerPolicy,
-    Regressor,
     cost,
     flms_step,
     frac_power,
@@ -63,31 +62,31 @@ class TestCost:
 
 class TestPredict:
     def test_selector_weight(self):
-        assert predict(state_with([1.0, 0.0, 0.0]), Regressor(np.array([5.0, 7.0, 9.0]))) == 5.0
+        assert predict(state_with([1.0, 0.0, 0.0]), np.array([5.0, 7.0, 9.0])) == 5.0
 
     def test_zero_weights(self):
-        assert predict(state_with([0.0, 0.0, 0.0]), Regressor(np.array([3.0, -2.0, 8.0]))) == 0.0
+        assert predict(state_with([0.0, 0.0, 0.0]), np.array([3.0, -2.0, 8.0])) == 0.0
 
     def test_hand_inner_product(self):
-        got = predict(state_with([0.9, 0.3, -0.1]), Regressor(np.array([1.0, 1.0, 1.0])))
+        got = predict(state_with([0.9, 0.3, -0.1]), np.array([1.0, 1.0, 1.0]))
         assert got == pytest.approx(1.1, rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="tap count"):
-            predict(state_with([1.0, 2.0]), Regressor(np.array([1.0, 2.0, 3.0])))
+            predict(state_with([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
 
 
 class TestIntegerGradient:
     def test_zero_error(self):
-        out = integer_gradient(0.0, Regressor(np.array([4.0, -1.0, 2.0])))
+        out = integer_gradient(0.0, np.array([4.0, -1.0, 2.0]))
         assert np.array_equal(out, np.zeros(3))
 
     def test_sign_flip(self):
-        out = integer_gradient(1.0, Regressor(np.array([1.0, -1.0, 2.0])))
+        out = integer_gradient(1.0, np.array([1.0, -1.0, 2.0]))
         assert np.array_equal(out, np.array([-1.0, 1.0, -2.0]))
 
     def test_hand_value(self):
-        out = integer_gradient(0.5, Regressor(np.array([2.0, 0.0, 4.0])))
+        out = integer_gradient(0.5, np.array([2.0, 0.0, 4.0]))
         assert np.array_equal(out, np.array([-1.0, 0.0, -2.0]))
 
     def test_matches_central_finite_differences(self):
@@ -99,7 +98,7 @@ class TestIntegerGradient:
             w = rng.uniform(-2.0, 2.0, size=3)
             x = rng.uniform(-2.0, 2.0, size=3)
             d = float(rng.uniform(-3.0, 3.0))
-            reg = Regressor(x)
+            reg = x
             err = d - predict(state_with(w), reg)
             grad = integer_gradient(err, reg)
             fd = np.empty(3)
@@ -168,12 +167,12 @@ class TestGamma:
 class TestFractionalGradient:
     def test_zero_error(self):
         st = state_with([0.5, -0.5, 2.0])
-        out = fractional_gradient(0.0, Regressor(np.array([1.0, 2.0, 3.0])), st, 0.5)
+        out = fractional_gradient(0.0, np.array([1.0, 2.0, 3.0]), st, 0.5)
         assert np.array_equal(out, np.zeros(3))
 
     def test_unit_case(self):
         st = state_with([1.0])
-        out = fractional_gradient(1.0, Regressor(np.array([1.0])), st, 0.5)
+        out = fractional_gradient(1.0, np.array([1.0]), st, 0.5)
         assert out[0] == pytest.approx(-1.1283791670955126, rel=1e-12)
 
     def test_near_integer_order_matches_integer_gradient(self):
@@ -183,13 +182,13 @@ class TestFractionalGradient:
             w = rng.uniform(0.1, 3.0, size=4)
             x = rng.uniform(-2.0, 2.0, size=4)
             e = float(rng.uniform(-2.0, 2.0))
-            reg = Regressor(x)
+            reg = x
             frac = fractional_gradient(e, reg, state_with(w), f)
             np.testing.assert_allclose(frac, integer_gradient(e, reg), rtol=1e-6, atol=1e-12)
 
     def test_order_domain(self):
         with pytest.raises(ValueError):
-            fractional_gradient(1.0, Regressor(np.ones(1)), state_with([1.0]), 1.5)
+            fractional_gradient(1.0, np.ones(1), state_with([1.0]), 1.5)
 
 
 def _plain_lms(w0, nu, samples):
@@ -211,7 +210,7 @@ class TestFlmsStep:
     def test_zero_error_fixed_point(self):
         cfg = make_config()
         st = state_with([0.4, -0.2, 0.7], nu=cfg.nu_init)
-        reg = Regressor(np.array([1.0, -1.0, 1.0]))
+        reg = np.array([1.0, -1.0, 1.0])
         desired = predict(st, reg)
         new, err = flms_step(st, reg, desired, cfg)
         assert err == 0.0
@@ -228,7 +227,7 @@ class TestFlmsStep:
         st = state_with([0.1, -0.3, 0.2], nu=cfg.nu_init)
         ref = _plain_lms(st.weights, cfg.nu_init, samples)
         for (x, d), (e_ref, w_ref) in zip(samples, ref):
-            st, e = flms_step(st, Regressor(x), d, cfg)
+            st, e = flms_step(st, x, d, cfg)
             assert e == e_ref
             assert list(st.weights) == w_ref
 
@@ -237,7 +236,7 @@ class TestFlmsStep:
         nu = 0.1
         cfg = make_config(tap_count=1, nu_init=nu, nu_f_init=nu * gamma(1.5), nu_min=0.01, nu_max=0.5)
         st = state_with([1.0], nu=nu)
-        new, err = flms_step(st, Regressor(np.array([1.0])), 2.0, cfg)
+        new, err = flms_step(st, np.array([1.0]), 2.0, cfg)
         assert err == 1.0
         assert new.weights[0] == pytest.approx(1.2, rel=1e-14)
 
@@ -245,7 +244,7 @@ class TestFlmsStep:
         cfg = make_config(tap_count=1, nu_init=1.0, nu_f_init=0.0, nu_max=2.0)
         st = state_with([1e200], nu=1.0, iteration=17)
         with pytest.raises(DivergedError) as exc:
-            flms_step(st, Regressor(np.array([1e200])), 0.0, cfg)
+            flms_step(st, np.array([1e200]), 0.0, cfg)
         assert exc.value.iteration == 17
 
 
@@ -253,7 +252,7 @@ class TestRvssFlmsStep:
     def test_zero_error_path(self):
         cfg = make_config()
         st = state_with([0.5, 0.1, -0.4], nu=0.02, p=0.6, prev_error=0.3)
-        reg = Regressor(np.array([1.0, 1.0, -1.0]))
+        reg = np.array([1.0, 1.0, -1.0])
         new, err = rvss_flms_step(st, reg, predict(st, reg), cfg)
         assert err == 0.0
         assert np.array_equal(new.weights, st.weights)
@@ -267,7 +266,7 @@ class TestRvssFlmsStep:
         for f in (0.2, 0.5, 0.8):
             cfg = make_config(tap_count=1, frac_order=f, nu_init=0.2, nu_min=0.01, nu_max=0.5)
             st = state_with([1.0], nu=0.2)
-            new, err = rvss_flms_step(st, Regressor(np.array([1.0])), 2.0, cfg)
+            new, err = rvss_flms_step(st, np.array([1.0]), 2.0, cfg)
             assert err == 1.0
             assert new.weights[0] == pytest.approx(1.4, rel=1e-15)
 
@@ -277,7 +276,7 @@ class TestRvssFlmsStep:
         # doubles it bitwise
         cfg = make_config()
         st = state_with([0.0, 0.0, 0.0], nu=0.015)
-        reg = Regressor(np.array([1.0, -1.0, 1.0]))
+        reg = np.array([1.0, -1.0, 1.0])
         new1, e1 = rvss_flms_step(st, reg, 0.25, cfg)
         new2, e2 = rvss_flms_step(st, reg, 0.5, cfg)
         assert e1 == 0.25 and e2 == 0.5
@@ -288,7 +287,7 @@ class TestRvssFlmsStep:
         # rounding per tap, so the scaling holds to machine precision
         cfg = make_config()
         st = state_with([0.5, -0.25, 0.125], nu=0.015)
-        reg = Regressor(np.array([1.0, -1.0, 1.0]))
+        reg = np.array([1.0, -1.0, 1.0])
         base = predict(st, reg)
         new1, e1 = rvss_flms_step(st, reg, base + 0.25, cfg)
         new2, e2 = rvss_flms_step(st, reg, base + 0.5, cfg)
@@ -300,7 +299,7 @@ class TestRvssFlmsStep:
     def test_increment_scales_with_arbitrary_factor(self):
         cfg = make_config()
         st = state_with([0.7, -0.2, 0.05], nu=0.015)
-        reg = Regressor(np.array([0.8, -1.2, 0.4]))
+        reg = np.array([0.8, -1.2, 0.4])
         base = predict(st, reg)
         c = 1.7
         new1, _ = rvss_flms_step(st, reg, base + 0.25, cfg)
@@ -310,7 +309,7 @@ class TestRvssFlmsStep:
     def test_uses_current_nu_before_advancing_it(self):
         cfg = make_config(tap_count=1, nu_init=0.02, nu_min=0.001, nu_max=0.5, gamma=100.0)
         st = state_with([1.0], nu=0.02, p=0.0, prev_error=1.0)
-        new, err = rvss_flms_step(st, Regressor(np.array([1.0])), 2.0, cfg)
+        new, err = rvss_flms_step(st, np.array([1.0]), 2.0, cfg)
         # weight moved by nu(n) = 0.02, not by the advanced step size
         assert new.weights[0] == pytest.approx(1.0 + 0.02 * 1.0 * 2.0, rel=1e-15)
         assert new.nu != st.nu
@@ -319,7 +318,7 @@ class TestRvssFlmsStep:
         cfg = make_config(tap_count=1, nu_init=0.02, nu_max=0.5)
         st = state_with([1e300], nu=0.3, iteration=3)
         with pytest.raises(DivergedError):
-            rvss_flms_step(st, Regressor(np.array([1e300])), 0.0, cfg)
+            rvss_flms_step(st, np.array([1e300]), 0.0, cfg)
 
 
 class TestFilterConfigValidation:

@@ -150,6 +150,9 @@ class TestConvergenceIteration:
             large_v = math.inf if large is None else large
             assert large_v <= small_v
 
+    def test_nan_counts_as_not_converged(self):
+        assert convergence_iteration(np.array([5.0, math.nan, math.nan]), 0.0) is None
+
     def test_rejects_nonpositive_margin(self):
         with pytest.raises(ValueError):
             convergence_iteration(np.zeros(3), 0.0, margin_db=0.0)

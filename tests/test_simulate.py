@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fraclms.filters import FilterConfig, Regressor, rvss_flms_step, initial_state
+from fraclms.filters import DivergedError, FilterConfig, flms_step, initial_state, rvss_flms_step
 from fraclms.simulate import (
     ROLE_DISTURBANCE,
     ROLE_INPUT,
@@ -93,23 +93,23 @@ class TestSnrToVariance:
 class TestPlantOutput:
     def test_noiseless_hand_value(self):
         spec = PlantSpec(coeffs=(0.9, 0.3, -0.1), disturbance_variance=0.0)
-        got = plant_output(Regressor(np.ones(3)), spec, stream(0, 0, ROLE_DISTURBANCE))
+        got = plant_output(np.ones(3), spec, stream(0, 0, ROLE_DISTURBANCE))
         assert got == pytest.approx(1.1, rel=1e-12)
 
     def test_selector(self):
         spec = PlantSpec(coeffs=(1.0, 0.0, 0.0), disturbance_variance=0.0)
-        got = plant_output(Regressor(np.array([-1.0, 1.0, 1.0])), spec, stream(0, 0, 1))
+        got = plant_output(np.array([-1.0, 1.0, 1.0]), spec, stream(0, 0, 1))
         assert got == -1.0
 
     def test_window_mismatch(self):
         spec = PlantSpec(coeffs=(1.0, 0.5))
         with pytest.raises(ValueError):
-            plant_output(Regressor(np.ones(3)), spec, stream(0, 0, 1))
+            plant_output(np.ones(3), spec, stream(0, 0, 1))
 
     def test_disturbance_variance_calibration(self):
         spec = PlantSpec(coeffs=(1.0,), disturbance_variance=0.01)
         rng = stream(7, 0, ROLE_DISTURBANCE)
-        zero_window = Regressor(np.zeros(1))
+        zero_window = np.zeros(1)
         draws = np.array([plant_output(zero_window, spec, rng) for _ in range(100_000)])
         assert 0.0093 < float(np.var(draws)) < 0.0107
 
@@ -184,7 +184,7 @@ class TestRunIdentification:
         padded = np.concatenate([np.zeros(2), x])
         state = initial_state(cfg)
         for i in range(n):
-            reg = Regressor(padded[i : i + 3][::-1])
+            reg = padded[i : i + 3][::-1]
             desired = plant_output(reg, plant, drng)
             state, e = rvss_flms_step(state, reg, desired, cfg)
             assert series.squared_error[i] == e * e
@@ -196,6 +196,19 @@ class TestRunIdentification:
         for algo in ("lms", "flms", "rvss-flms"):
             series = run_identification(algo, cfg, plant, 600, stream(1, 0, 0), stream(1, 0, 1))
             assert series.nwd_db[-1] < -60.0, algo
+
+    def test_overflowing_square_diverges_at_first_sample(self):
+        # every value of the first step is finite, so the step itself does
+        # not raise; only the squared error overflows
+        cfg = scaled_config(weight_init=1e160)
+        plant = PlantSpec(coeffs=PAPER_PLANT.coeffs, disturbance_variance=0.0)
+        x = bpsk_sequence(1, stream(3, 0, 0))
+        window = np.array([x[0], 0.0, 0.0])
+        _, err = flms_step(initial_state(cfg), window, 0.0, cfg)
+        assert math.isfinite(err) and not math.isfinite(err * err)
+        with pytest.raises(DivergedError) as exc:
+            run_identification("lms", cfg, plant, 10, stream(3, 0, 0), stream(3, 0, 1))
+        assert exc.value.iteration == 0
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
