@@ -12,7 +12,7 @@ import numpy as np
 
 from .configfile import ConfigError, bundled_path
 from .experiment import FormatError, compare_to_reference, read_summary, run_experiment
-from .plotting import plot_curves
+from .plotting import KINDS, plot_curves
 
 
 def _color_enabled() -> bool:
@@ -104,10 +104,10 @@ def _read_curve(path: Path, column: str) -> np.ndarray:
 
 
 def _cmd_plot(args) -> int:
-    column = {"mse": "mse_db", "nwd": "nwd_db"}[args.kind]
+    column, ylabel = KINDS[args.kind]
     try:
         curves = {Path(p).stem: _read_curve(Path(p), column) for p in args.curves}
-        plot_curves(curves, args.out, ylabel=f"{args.kind.upper()} (dB)")
+        plot_curves(curves, args.out, ylabel=ylabel)
     except (FormatError, OSError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plot = sub.add_parser("plot", help="plot curves CSV files as one SVG chart")
     p_plot.add_argument("curves", nargs="+", help="curves CSV files from a run")
-    p_plot.add_argument("--kind", choices=("mse", "nwd"), required=True)
+    p_plot.add_argument("--kind", choices=tuple(KINDS), required=True)
     p_plot.add_argument("--out", required=True, help="output SVG path")
     p_plot.set_defaults(fn=_cmd_plot)
     return parser

@@ -35,7 +35,7 @@ from pathlib import Path
 from .filters import FilterConfig, FracPowerPolicy
 from .simulate import ALGORITHMS, AlgorithmSpec, ExperimentConfig, PlantSpec
 
-__all__ = ["ConfigError", "loads", "dumps", "load", "save", "bundled_path"]
+__all__ = ["ConfigError", "loads", "dumps", "load", "bundled_path"]
 
 _EXPERIMENT_KEYS = ("snr_db", "samples_per_run", "monte_carlo_runs", "rng_seed", "algorithms")
 _PLANT_KEYS = ("coeffs",)
@@ -66,11 +66,10 @@ class ConfigError(ValueError):
 
 def _parse_float(text: str, where: str, problems: list[str]) -> float:
     try:
-        v = float(text)
+        return float(text)
     except ValueError:
         problems.append(f"{where}: not a number: {text!r}")
         return math.nan
-    return v
 
 
 def _parse_int(text: str, where: str, problems: list[str]) -> int:
@@ -85,12 +84,23 @@ def _parse_list(text: str) -> list[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
 
 
+def _check_keys(values, where, allowed, required, problems) -> dict[str, str]:
+    """The allowed keys of values; unknown and missing keys go to problems.
+
+    A missing key gets a parseable placeholder so that later checks still run.
+    """
+    problems.extend(f"{where}: unknown key {key!r}" for key in values if key not in allowed)
+    known = {key: raw for key, raw in values.items() if key in allowed}
+    for key in required:
+        if key not in known:
+            problems.append(f"{where}: missing required key {key!r}")
+            known[key] = "0.5" if key in _FILTER_KEYS and key not in _INT_KEYS else "1"
+    return known
+
+
 def _filter_from_section(values: dict[str, str], where: str, problems: list[str]) -> FilterConfig:
     kwargs = {}
-    for key in _FILTER_REQUIRED:
-        if key not in values:
-            problems.append(f"{where}: missing required key {key!r}")
-            values[key] = "1" if key in _INT_KEYS else "0.5"
+    values = _check_keys(values, where, _FILTER_KEYS, _FILTER_REQUIRED, problems)
     for key, raw in values.items():
         if key == "frac_power_policy":
             try:
@@ -133,28 +143,9 @@ def loads(text: str) -> ExperimentConfig:
     if problems:
         raise ConfigError(problems)
 
-    exp = dict(parser["experiment"])
-    for key in exp:
-        if key not in _EXPERIMENT_KEYS:
-            problems.append(f"[experiment]: unknown key {key!r}")
-    for key in _EXPERIMENT_KEYS:
-        if key not in exp:
-            problems.append(f"[experiment]: missing required key {key!r}")
-            exp[key] = "1"
-
-    plant_sec = dict(parser["plant"])
-    for key in plant_sec:
-        if key not in _PLANT_KEYS:
-            problems.append(f"[plant]: unknown key {key!r}")
-    if "coeffs" not in plant_sec:
-        problems.append("[plant]: missing required key 'coeffs'")
-        plant_sec["coeffs"] = "1"
-
-    base_sec = dict(parser["filter"])
-    for key in base_sec:
-        if key not in _FILTER_KEYS:
-            problems.append(f"[filter]: unknown key {key!r}")
-    base_sec = {k: v for k, v in base_sec.items() if k in _FILTER_KEYS}
+    exp = _check_keys(parser["experiment"], "[experiment]", _EXPERIMENT_KEYS, _EXPERIMENT_KEYS, problems)
+    plant_sec = _check_keys(parser["plant"], "[plant]", _PLANT_KEYS, _PLANT_KEYS, problems)
+    base_sec = _check_keys(parser["filter"], "[filter]", _FILTER_KEYS, (), problems)
 
     snr_db = tuple(
         _parse_float(s, "[experiment]: snr_db", problems) for s in _parse_list(exp["snr_db"])
@@ -177,11 +168,7 @@ def loads(text: str) -> ExperimentConfig:
         values = dict(base_sec)
         override = f"filter.{name}"
         if override in parser:
-            for key, raw in parser[override].items():
-                if key not in _FILTER_KEYS:
-                    problems.append(f"[{override}]: unknown key {key!r}")
-                else:
-                    values[key] = raw
+            values.update(_check_keys(parser[override], f"[{override}]", _FILTER_KEYS, (), problems))
         algorithms.append(
             AlgorithmSpec(name=name, filter=_filter_from_section(values, f"filter for {name!r}", problems))
         )
@@ -237,10 +224,6 @@ def dumps(config: ExperimentConfig) -> str:
 
 def load(path) -> ExperimentConfig:
     return loads(Path(path).read_text(encoding="utf-8"))
-
-
-def save(config: ExperimentConfig, path) -> None:
-    Path(path).write_text(dumps(config), encoding="utf-8")
 
 
 def bundled_path(name: str) -> Path:

@@ -116,12 +116,7 @@ def convergence_iteration(curve_db, steady_db: float, margin_db: float = 1.0) ->
     return n if n < c.size else None
 
 
-def build_report(
-    runs: Sequence["RunSeries"],
-    runs_diverged: int = 0,
-    tail_fraction: float = 0.25,
-    margin_db: float = 1.0,
-) -> EnsembleReport:
+def build_report(runs: Sequence["RunSeries"], runs_diverged: int = 0) -> EnsembleReport:
     """Aggregate non-diverged runs into an EnsembleReport.
 
     With no runs (all diverged) the curves are empty and the levels NaN.
@@ -130,15 +125,15 @@ def build_report(
         return EnsembleReport(np.empty(0), np.empty(0), math.nan, None, math.nan, None, 0, runs_diverged)
     mse = ensemble_mse_db(runs)
     nwd = ensemble_nwd_db(runs)
-    s_mse = steady_state_level(mse, tail_fraction)
-    s_nwd = steady_state_level(nwd, tail_fraction)
+    s_mse = steady_state_level(mse)
+    s_nwd = steady_state_level(nwd)
     return EnsembleReport(
         mse_db=mse,
         nwd_db=nwd,
         steady_mse_db=s_mse,
-        mse_conv_iter=convergence_iteration(mse, s_mse, margin_db),
+        mse_conv_iter=convergence_iteration(mse, s_mse),
         steady_nwd_db=s_nwd,
-        nwd_conv_iter=convergence_iteration(nwd, s_nwd, margin_db),
+        nwd_conv_iter=convergence_iteration(nwd, s_nwd),
         runs_used=len(runs),
         runs_diverged=runs_diverged,
     )

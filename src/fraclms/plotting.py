@@ -12,14 +12,15 @@ from typing import Mapping
 
 import numpy as np
 
-__all__ = ["emit_plot", "plot_curves"]
+__all__ = ["KINDS", "emit_plot", "plot_curves"]
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 62, 16, 18, 46
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
-_KINDS = {"mse": ("mse_db", "MSE (dB)"), "nwd": ("nwd_db", "NWD (dB)")}
+# plot kind -> (curve name, in EnsembleReport and in the curves CSV; y-axis label)
+KINDS = {"mse": ("mse_db", "MSE (dB)"), "nwd": ("nwd_db", "NWD (dB)")}
 
 
 def _nice_step(span: float, target_intervals: int = 6) -> float:
@@ -135,8 +136,8 @@ def emit_plot(reports: Mapping[str, object], path, kind: str) -> Path:
 
     kind selects which curve is drawn: 'mse' or 'nwd'.
     """
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {sorted(_KINDS)}, got {kind!r}")
-    attr, ylabel = _KINDS[kind]
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {sorted(KINDS)}, got {kind!r}")
+    attr, ylabel = KINDS[kind]
     curves = {name: getattr(rep, attr) for name, rep in reports.items()}
     return plot_curves(curves, path, ylabel)

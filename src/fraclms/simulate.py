@@ -26,6 +26,7 @@ from .filters import (
 from .metrics import nwd_db
 
 __all__ = [
+    "LABELS",
     "ALGORITHMS",
     "ROLE_INPUT",
     "ROLE_DISTURBANCE",
@@ -42,7 +43,9 @@ __all__ = [
     "run_ensemble",
 ]
 
-ALGORITHMS = ("lms", "flms", "rvss-flms")
+# algorithm name -> display label; _dispatch maps each name to its update
+LABELS = {"lms": "LMS", "flms": "FLMS", "rvss-flms": "RVSS-FLMS"}
+ALGORITHMS = tuple(LABELS)
 
 ROLE_INPUT = 0
 ROLE_DISTURBANCE = 1
@@ -61,6 +64,8 @@ class PlantSpec:
             bad.append("plant coeffs must be non-empty")
         elif not all(math.isfinite(c) for c in self.coeffs):
             bad.append(f"plant coeffs must be finite, got {self.coeffs}")
+        elif not any(self.coeffs):
+            bad.append(f"plant coeffs must not all be zero, got {self.coeffs}")
         if not (math.isfinite(self.disturbance_variance) and self.disturbance_variance >= 0.0):
             bad.append(f"disturbance_variance must be >= 0, got {self.disturbance_variance}")
         return bad
@@ -85,12 +90,25 @@ class ExperimentConfig:
     rng_seed: int
     algorithms: tuple[AlgorithmSpec, ...]
 
+    def plant_at(self, snr_db: float) -> PlantSpec:
+        """The plant with the disturbance variance that realizes snr_db."""
+        power = clean_plant_power(self.plant.coeffs)
+        return replace(self.plant, disturbance_variance=snr_to_variance(snr_db, power))
+
     def violations(self) -> list[str]:
         bad = self.plant.violations()
         if len(self.snr_db_list) == 0:
             bad.append("snr_db list must be non-empty")
         elif not all(math.isfinite(s) for s in self.snr_db_list):
             bad.append(f"snr_db values must be finite, got {self.snr_db_list}")
+        elif not self.plant.violations():
+            for snr in self.snr_db_list:
+                try:
+                    variance = self.plant_at(snr).disturbance_variance
+                except (ArithmeticError, ValueError):
+                    variance = math.nan
+                if not (math.isfinite(variance) and variance > 0.0):
+                    bad.append(f"snr_db value {snr:g} gives no finite nonzero disturbance variance")
         for snr in sorted({s for s in self.snr_db_list if self.snr_db_list.count(s) > 1}):
             bad.append(f"snr_db value {snr:g} listed twice")
         if self.monte_carlo_runs < 1:
@@ -144,7 +162,7 @@ def bpsk_sequence(n_samples: int, rng: np.random.Generator) -> np.ndarray:
 
 def clean_plant_power(coeffs) -> float:
     """Output power of the FIR plant under unit-power uncorrelated +-1 input."""
-    return float(sum(float(c) * float(c) for c in coeffs))
+    return tap_dot(coeffs, coeffs)
 
 
 def snr_to_variance(snr_db: float, signal_power: float) -> float:
@@ -178,7 +196,7 @@ def run_identification(
     plant: PlantSpec,
     n_samples: int,
     input_rng: np.random.Generator,
-    disturbance_rng: np.random.Generator | None = None,
+    disturbance_rng: np.random.Generator,
 ) -> RunSeries:
     """Drive one filter through the identification loop, sample by sample.
 
@@ -191,7 +209,6 @@ def run_identification(
     k = cfg.tap_count
     if len(plant.coeffs) != k:
         raise ValueError(f"tap_count {k} does not match plant order {len(plant.coeffs)}")
-    d_rng = disturbance_rng if disturbance_rng is not None else input_rng
 
     x = bpsk_sequence(n_samples, input_rng)
     padded = np.concatenate([np.zeros(k - 1), x])
@@ -202,7 +219,7 @@ def run_identification(
     nwd = np.empty(n_samples)
     for n in range(n_samples):
         x_n = padded[n : n + k][::-1]
-        desired = plant_output(x_n, plant, d_rng)
+        desired = plant_output(x_n, plant, disturbance_rng)
         state, err = step_fn(state, x_n, desired, step_cfg)
         sq = err * err
         val = nwd_db(state.weights, truth)
@@ -233,16 +250,8 @@ def run_ensemble(
     diverged = 0
     for r in range(monte_carlo_runs):
         try:
-            series.append(
-                run_identification(
-                    algorithm,
-                    cfg,
-                    plant,
-                    n_samples,
-                    input_rng=stream(seed, r, ROLE_INPUT),
-                    disturbance_rng=stream(seed, r, ROLE_DISTURBANCE),
-                )
-            )
+            input_rng, disturbance_rng = stream(seed, r, ROLE_INPUT), stream(seed, r, ROLE_DISTURBANCE)
+            series.append(run_identification(algorithm, cfg, plant, n_samples, input_rng, disturbance_rng))
         except DivergedError:
             diverged += 1
     return series, diverged

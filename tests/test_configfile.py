@@ -135,6 +135,17 @@ def test_repeated_snr_is_error():
         loads(GOOD.replace("snr_db = 10, 20", "snr_db = 20, 20"))
 
 
+def test_all_zero_plant_is_error():
+    with pytest.raises(ConfigError, match="must not all be zero"):
+        loads(GOOD.replace("coeffs = 0.9, 0.3, -0.1", "coeffs = 0, 0, 0"))
+
+
+@pytest.mark.parametrize("snr", ["4000", "-4000", "-3090"])
+def test_snr_without_finite_nonzero_variance_is_error(snr):
+    with pytest.raises(ConfigError, match=f"snr_db value {snr} gives no finite nonzero"):
+        loads(GOOD.replace("snr_db = 10, 20", f"snr_db = 10, {snr}"))
+
+
 def test_non_numeric_value_reported():
     with pytest.raises(ConfigError, match="not a number"):
         loads(GOOD.replace("beta = 0.5", "beta = fast"))
@@ -148,15 +159,6 @@ def test_unknown_algorithm_name():
 def test_tap_count_must_match_plant():
     with pytest.raises(ConfigError, match="plant order"):
         loads(GOOD.replace("tap_count = 3", "tap_count = 2"))
-
-
-def test_save_load(tmp_path):
-    from fraclms.configfile import save
-
-    cfg = loads(GOOD)
-    path = tmp_path / "roundtrip.config"
-    save(cfg, path)
-    assert load(path) == cfg
 
 
 def test_effective_config_survives_replace():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from fraclms import cli
+from fraclms import cli, experiment
 from fraclms.configfile import bundled_path, loads
 from fraclms.experiment import (
     FormatError,
@@ -42,6 +42,8 @@ beta = 0.5
 gamma = 0.5
 weight_init = 1e-20
 """
+
+LMS_DIVERGES = "\n[filter.lms]\nnu_init = 1e4\nnu_min = 1e4\nnu_max = 2e4\n"
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +118,44 @@ class TestRunExperiment:
         par = tmp_path / "par"
         run_experiment(loads(SMALL), par, parallel=3)
         assert (par / "summary.csv").read_bytes() == (out / "summary.csv").read_bytes()
+
+    def test_pool_starts_at_most_one_worker_per_cell(self, tmp_path, monkeypatch):
+        requested = []
+
+        class RecordingPool:
+            """Stands in for ProcessPoolExecutor and starts no process."""
+
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return map(fn, cells)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        run_experiment(loads(SMALL), tmp_path / "many", runs=1, parallel=64)
+        run_experiment(loads(SMALL), tmp_path / "two", runs=1, parallel=2)
+        assert requested == [6, 2]
+
+    def test_rerun_unlinks_only_plain_names_inside_out(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "sub").mkdir(parents=True)
+        kept = [tmp_path / "outside.csv", out / "sub" / "x.csv", out / "unlisted.csv"]
+        for path in kept:
+            path.write_text("keep")
+        listed = {"a": "../outside.csv", "b": str(kept[0]), "c": "sub/x.csv", "d": "sub", "e": ".."}
+        manifest = {"artifact_paths": {"summary": "summary.csv", "curves": listed, "plots": {}}}
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        run_experiment(loads(SMALL), out, runs=1)
+        assert all(path.read_text() == "keep" for path in kept)
+        (out / "manifest.json").write_text("not json")
+        run_experiment(loads(SMALL), out, runs=1)
+        assert json.loads((out / "manifest.json").read_text())["artifact_paths"]["summary"] == "summary.csv"
 
     def test_seed_override_changes_results(self, small_run, tmp_path):
         out, _ = small_run
@@ -332,7 +372,7 @@ class TestCli:
     def test_all_runs_diverged_cell_reported(self, tmp_path, capsys):
         text = SMALL.replace("samples_per_run = 64", "samples_per_run = 50")
         text = text.replace("monte_carlo_runs = 3", "monte_carlo_runs = 2")
-        text += "\n[filter.lms]\nnu_init = 1e4\nnu_min = 1e4\nnu_max = 2e4\n"
+        text += LMS_DIVERGES
         config = tmp_path / "lms-diverges.config"
         config.write_text(text)
         out = tmp_path / "out"
@@ -360,6 +400,32 @@ class TestCli:
         assert cli.main(["run", str(config), "--out", str(tmp_path / "o"), "--bench"]) == 0
         printed = capsys.readouterr().out
         assert "bench:" in printed
+
+    def test_bench_survives_diverging_first_run(self, tmp_path, capsys):
+        text = SMALL.replace("algorithms = lms, flms, rvss-flms", "algorithms = lms, flms")
+        config = tmp_path / "lms-diverges.config"
+        config.write_text(text + LMS_DIVERGES)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(config), "--out", str(out), "--bench"]) == 1
+        printed = capsys.readouterr().out
+        assert "bench: LMS 200 iterations" in printed and "bench: FLMS 200 iterations" in printed
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["bench_seconds"]) == ["flms", "lms"]
+
+    def test_rerun_leaves_only_the_new_manifest_files(self, tmp_path, capsys):
+        text = SMALL.replace("samples_per_run = 64", "samples_per_run = 50")
+        text = text.replace("monte_carlo_runs = 3", "monte_carlo_runs = 2")
+        config = tmp_path / "tiny.config"
+        config.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(config), "--out", str(out)]) == 0
+        assert (out / "lms_10dB.csv").exists()
+        config.write_text(text + LMS_DIVERGES)
+        assert cli.main(["run", str(config), "--out", str(out)]) == 1
+        paths = json.loads((out / "manifest.json").read_text())["artifact_paths"]
+        listed = {paths["summary"], *paths["curves"].values(), *paths["plots"].values()}
+        assert {p.name for p in out.iterdir()} == listed | {"manifest.json"}
+        assert not (out / "lms_10dB.csv").exists()
 
     def test_bundled_config_fallback(self, tmp_path, capsys):
         out = tmp_path / "from_bundled"

@@ -212,11 +212,11 @@ class TestRunIdentification:
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
-            run_identification("amflms", scaled_config(), PAPER_PLANT, 10, stream(0, 0, 0))
+            run_identification("amflms", scaled_config(), PAPER_PLANT, 10, stream(0, 0, 0), stream(0, 0, 1))
 
     def test_plant_order_mismatch(self):
         with pytest.raises(ValueError, match="plant order"):
-            run_identification("lms", scaled_config(tap_count=4), PAPER_PLANT, 10, stream(0, 0, 0))
+            run_identification("lms", scaled_config(tap_count=4), PAPER_PLANT, 10, stream(0, 0, 0), stream(0, 0, 1))
 
 
 class TestRunEnsemble:
