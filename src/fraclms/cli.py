@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .configfile import ConfigError, bundled_path
-from .experiment import FormatError, compare_to_reference, read_summary, run_experiment
+from .experiment import ITER_FACTOR, MSE_TOL_DB, FormatError, compare_to_reference
+from .experiment import read_curve, read_summary, run_experiment
 from .plotting import KINDS, plot_curves
 
 
@@ -44,13 +42,12 @@ def _resolve_input(path_str: str) -> Path:
 
 def _cmd_run(args) -> int:
     try:
-        run_experiment(
+        manifest = run_experiment(
             _resolve_input(args.config),
             args.out,
             seed=args.seed,
             runs=args.runs,
             parallel=args.parallel,
-            bench=args.bench,
         )
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
@@ -66,6 +63,9 @@ def _cmd_run(args) -> int:
             f"nwd {row['steady_nwd_db']:8.2f} dB @ {str(row['nwd_conv_iter']):>4}  "
             f"runs {row['runs_used']} (+{row['runs_diverged']} diverged)"
         )
+    if args.bench:
+        for cell, seconds in manifest.cell_seconds.items():
+            print(f"bench: {cell} {seconds:.4f} s")
     print(f"artifacts written to {args.out}")
     empty = [row for row in rows if row["runs_used"] == 0]
     for row in empty:
@@ -95,18 +95,10 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _read_curve(path: Path, column: str) -> np.ndarray:
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or column not in reader.fieldnames:
-            raise FormatError(f"{path} has no column {column!r}")
-        return np.array([float(row[column]) for row in reader])
-
-
 def _cmd_plot(args) -> int:
     column, ylabel = KINDS[args.kind]
     try:
-        curves = {Path(p).stem: _read_curve(Path(p), column) for p in args.curves}
+        curves = {Path(p).stem: read_curve(p, column) for p in args.curves}
         plot_curves(curves, args.out, ylabel=ylabel)
     except (FormatError, OSError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
@@ -128,14 +120,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None, help="override rng_seed")
     p_run.add_argument("--runs", type=int, default=None, help="override monte_carlo_runs")
     p_run.add_argument("--parallel", type=int, default=1, help="worker processes for grid cells")
-    p_run.add_argument("--bench", action="store_true", help="report per-algorithm training time")
+    p_run.add_argument("--bench", action="store_true", help="print the measured seconds of each grid cell")
     p_run.set_defaults(fn=_cmd_run)
 
     p_ver = sub.add_parser("verify", help="check a summary.csv against a reference table")
     p_ver.add_argument("summary")
     p_ver.add_argument("--reference", required=True, help="reference table (or bundled name)")
-    p_ver.add_argument("--mse-tol", type=float, default=0.5, help="dB tolerance on steady-state levels")
-    p_ver.add_argument("--iter-factor", type=float, default=2.0, help="allowed factor on convergence iterations")
+    p_ver.add_argument("--mse-tol", type=float, default=MSE_TOL_DB, help="dB tolerance on steady-state levels")
+    p_ver.add_argument(
+        "--iter-factor", type=float, default=ITER_FACTOR, help="allowed factor on convergence iterations"
+    )
     p_ver.set_defaults(fn=_cmd_verify)
 
     p_plot = sub.add_parser("plot", help="plot curves CSV files as one SVG chart")

@@ -223,7 +223,10 @@ def dumps(config: ExperimentConfig) -> str:
 
 
 def load(path) -> ExperimentConfig:
-    return loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"{path}: not UTF-8 text"]) from exc
 
 
 def bundled_path(name: str) -> Path:

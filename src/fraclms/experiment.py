@@ -4,7 +4,7 @@ a summary table, SVG plots and a JSON manifest, and checks summaries
 against a reference table.
 
 All files are written with deterministic bytes for a fixed (config, seed),
-except the manifest, which carries a timestamp.
+except the manifest, which carries a timestamp and the time of each cell.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
 from .configfile import ConfigError, dumps, load
 from .metrics import EnsembleReport, build_report
@@ -27,12 +29,14 @@ from .plotting import KINDS, emit_plot
 
 __all__ = [
     "SUMMARY_FIELDS",
+    "CURVE_FIELDS",
     "FormatError",
     "ExperimentManifest",
     "CellCheck",
     "ComparisonReport",
     "run_experiment",
     "read_summary",
+    "read_curve",
     "read_reference",
     "compare_to_reference",
 ]
@@ -48,6 +52,8 @@ SUMMARY_FIELDS = (
     "runs_diverged",
 )
 
+CURVE_FIELDS = ("iteration", "mse_db", "nwd_db")
+
 REFERENCE_FIELDS = (
     "algorithm",
     "snr_db",
@@ -57,6 +63,10 @@ REFERENCE_FIELDS = (
     "steady_nwd_db",
     "time_s",
 )
+
+# default verify tolerances: dB on steady-state levels, factor on convergence iterations
+MSE_TOL_DB = 0.5
+ITER_FACTOR = 2.0
 
 
 class FormatError(ValueError):
@@ -69,9 +79,10 @@ class ExperimentManifest:
 
     config_text: str
     artifact_paths: dict
+    # wall seconds of each cell's simulation, keyed like artifact_paths["curves"]
+    cell_seconds: dict
     software_version: str
     timestamp: str
-    bench_seconds: Optional[dict] = None
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
@@ -89,10 +100,12 @@ def _snr_tag(snr: float) -> str:
     return f"{snr:g}dB"
 
 
-def _run_cell(args) -> tuple[list, int]:
+def _run_cell(args) -> tuple[list, int, float]:
     # a module-level function that looks run_ensemble up per call, so a
     # process pool can pickle it even when run_ensemble has been wrapped
-    return run_ensemble(*args)
+    t0 = time.perf_counter()
+    series, diverged = run_ensemble(*args)
+    return series, diverged, time.perf_counter() - t0
 
 
 def _remove_previous_run(out: Path) -> None:
@@ -119,7 +132,6 @@ def run_experiment(
     seed: Optional[int] = None,
     runs: Optional[int] = None,
     parallel: int = 1,
-    bench: bool = False,
 ) -> ExperimentManifest:
     """Run the full grid described by a config (path or ExperimentConfig).
 
@@ -128,7 +140,8 @@ def run_experiment(
     Diverged runs are excluded from averages and counted per cell.  A cell
     whose runs all diverged gets only its summary row (runs_used 0, NaN
     levels) and is left out of the curves and plots.  The files of an
-    earlier run that the manifest in out_dir lists are deleted first.
+    earlier run that the manifest in out_dir lists are deleted first.  The
+    manifest records how long each cell's simulation took.
     """
     if not isinstance(config, ExperimentConfig):
         config = load(config)
@@ -159,14 +172,17 @@ def run_experiment(
     _remove_previous_run(out)
     reports: dict[tuple[str, float], EnsembleReport] = {}
     artifact_paths: dict = {"curves": {}, "plots": {}, "summary": "summary.csv"}
-    for (name, snr), (series, diverged) in zip(keys, results):
+    cell_seconds = {}
+    for (name, snr), (series, diverged, seconds) in zip(keys, results):
+        cell = f"{name}@{_snr_tag(snr)}"
+        cell_seconds[cell] = seconds
         report = build_report(series, runs_diverged=diverged)
         reports[(name, snr)] = report
         if report.runs_used == 0:
             continue
         fname = f"{name}_{_snr_tag(snr)}.csv"
         _write_curves(out / fname, report)
-        artifact_paths["curves"][f"{name}@{_snr_tag(snr)}"] = fname
+        artifact_paths["curves"][cell] = fname
 
     for snr in config.snr_db_list:
         per_algo = {LABELS[s.name]: reports[(s.name, snr)] for s in config.algorithms}
@@ -180,14 +196,12 @@ def run_experiment(
 
     _write_summary(out / "summary.csv", reports)
 
-    bench_seconds = _bench(config) if bench else None
-
     manifest = ExperimentManifest(
         config_text=dumps(config),
         artifact_paths=artifact_paths,
+        cell_seconds=cell_seconds,
         software_version=__version__,
         timestamp=datetime.now(timezone.utc).isoformat(),
-        bench_seconds=bench_seconds,
     )
     (out / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
     return manifest
@@ -195,9 +209,9 @@ def run_experiment(
 
 def _write_curves(path: Path, report: EnsembleReport) -> None:
     buf = io.StringIO()
-    buf.write("iteration,mse_db,nwd_db\n")
-    for i in range(len(report.mse_db)):
-        buf.write(f"{i},{_fmt_float(report.mse_db[i])},{_fmt_float(report.nwd_db[i])}\n")
+    buf.write(",".join(CURVE_FIELDS) + "\n")
+    for i, (mse, nwd) in enumerate(zip(report.mse_db.tolist(), report.nwd_db.tolist())):
+        buf.write(f"{i},{mse!r},{nwd!r}\n")
     path.write_text(buf.getvalue(), encoding="utf-8")
 
 
@@ -220,58 +234,60 @@ def _write_summary(path: Path, reports) -> None:
     path.write_text(buf.getvalue(), encoding="utf-8")
 
 
-def _bench(config: ExperimentConfig) -> dict[str, float]:
-    """Informative time of one 200-iteration run per algorithm; never a pass/fail input."""
-    plant = config.plant_at(config.snr_db_list[0])
-    out = {}
-    for spec in config.algorithms:
-        t0 = time.perf_counter()
-        run_ensemble(spec.name, spec.filter, plant, 200, 1, config.rng_seed)
-        out[spec.name] = time.perf_counter() - t0
-        print(f"bench: {LABELS[spec.name]} 200 iterations in {out[spec.name]:.4f} s")
-    return out
+def _parse_iter(text: str) -> Optional[int]:
+    return None if text == "none" else int(text)
 
 
-def _parse_iter_field(text: str, where: str) -> Optional[int]:
-    if text == "none":
-        return None
+def _field(raw: dict, name: str, where: str, parse=float):
     try:
-        return int(text)
+        return parse(raw[name])
     except ValueError as exc:
-        raise FormatError(f"{where}: bad iteration count {text!r}") from exc
+        raise FormatError(f"{where}: bad {name} {raw[name]!r}") from exc
+
+
+def _csv_rows(path, fields, kind: str) -> list[tuple[str, dict]]:
+    """(path:line, row) of each row of a UTF-8 CSV file whose header is exactly fields."""
+    path = Path(path)
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{path}:{line}: not UTF-8 text") from exc
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    rows = []
+    try:
+        got = tuple(reader.fieldnames or ())
+        if got != tuple(fields):
+            raise FormatError(f"{path}:1: not a {kind} file: header {got} != {tuple(fields)}")
+        for raw in reader:
+            where = f"{path}:{reader.line_num}"
+            # DictReader files extra fields under None and fills missing ones with None
+            if None in raw or None in raw.values():
+                raise FormatError(f"{where}: expected {len(fields)} fields")
+            rows.append((where, raw))
+    except csv.Error as exc:  # a field over csv.field_size_limit()
+        raise FormatError(f"{path}:{reader.line_num}: {exc}") from exc
+    return rows
 
 
 def _read_table(path, fields, kind: str) -> list[dict]:
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        got = tuple(reader.fieldnames or ())
-        if got != tuple(fields):
-            raise FormatError(f"{path} is not a {kind} file: header {got} != {tuple(fields)}")
-        rows = []
-        seen = set()
-        for lineno, raw in enumerate(reader, start=2):
-            row = {"algorithm": raw["algorithm"]}
-            where = f"{path}:{lineno}"
-            try:
-                row["snr_db"] = float(raw["snr_db"])
-                row["steady_mse_db"] = float(raw["steady_mse_db"])
-                row["steady_nwd_db"] = float(raw["steady_nwd_db"])
-            except (TypeError, ValueError) as exc:
-                raise FormatError(f"{where}: bad numeric field: {exc}") from exc
-            key = (row["algorithm"], row["snr_db"])
-            if key in seen:
-                raise FormatError(f"{where}: duplicate row for {key[0]} at {key[1]:g} dB")
-            seen.add(key)
-            row["mse_conv_iter"] = _parse_iter_field(raw["mse_conv_iter"], where)
-            row["nwd_conv_iter"] = _parse_iter_field(raw["nwd_conv_iter"], where)
-            for extra in ("runs_used", "runs_diverged"):
-                if extra in raw:
-                    try:
-                        row[extra] = int(raw[extra])
-                    except ValueError as exc:
-                        raise FormatError(f"{where}: bad run count {raw[extra]!r}") from exc
-            rows.append(row)
+    rows = []
+    seen = set()
+    for where, raw in _csv_rows(path, fields, kind):
+        row = {"algorithm": raw["algorithm"]}
+        for name in ("snr_db", "steady_mse_db", "steady_nwd_db"):
+            row[name] = _field(raw, name, where)
+        key = (row["algorithm"], row["snr_db"])
+        if key in seen:
+            raise FormatError(f"{where}: duplicate row for {key[0]} at {key[1]:g} dB")
+        seen.add(key)
+        for name in ("mse_conv_iter", "nwd_conv_iter"):
+            row[name] = _field(raw, name, where, _parse_iter)
+        for name in ("runs_used", "runs_diverged"):
+            if name in raw:
+                row[name] = _field(raw, name, where, int)
+        rows.append(row)
     return rows
 
 
@@ -283,6 +299,14 @@ def read_summary(path) -> list[dict]:
 def read_reference(path) -> list[dict]:
     """Parse a reference table (same cells plus a timing column)."""
     return _read_table(path, REFERENCE_FIELDS, "reference")
+
+
+def read_curve(path, column: str) -> np.ndarray:
+    """One column ('mse_db' or 'nwd_db') of a curves CSV written by run_experiment."""
+    curve = np.array([_field(raw, column, where) for where, raw in _csv_rows(path, CURVE_FIELDS, "curves")])
+    if not np.isfinite(curve).all():  # run never writes one; the plot axes need finite bounds
+        raise FormatError(f"{path}: {column} holds a value that is not finite")
+    return curve
 
 
 @dataclass
@@ -304,7 +328,7 @@ class ComparisonReport:
 
 
 def compare_to_reference(
-    summary_path, reference_path, mse_tol_db: float = 0.5, iter_factor: float = 2.0
+    summary_path, reference_path, mse_tol_db: float = MSE_TOL_DB, iter_factor: float = ITER_FACTOR
 ) -> ComparisonReport:
     """Per-cell verdicts of a summary against a reference table.
 

@@ -58,9 +58,9 @@ class FracPowerPolicy(enum.Enum):
 class DivergedError(RuntimeError):
     """A filter update produced a non-finite weight, error or step size."""
 
-    def __init__(self, iteration: int, detail: str = "non-finite filter state"):
+    def __init__(self, iteration: int):
         self.iteration = iteration
-        super().__init__(f"{detail} at iteration {iteration}")
+        super().__init__(f"non-finite filter state at iteration {iteration}")
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,10 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 KINDS = {"mse": ("mse_db", "MSE (dB)"), "nwd": ("nwd_db", "NWD (dB)")}
 
 
-def _nice_step(span: float, target_intervals: int = 6) -> float:
+def _nice_step(span: float) -> float:
     if span <= 0.0:
         return 1.0
-    raw = span / target_intervals
+    raw = span / 6  # about six tick intervals per axis
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if mult * mag >= raw:
@@ -111,7 +111,7 @@ def plot_curves(curves: Mapping[str, np.ndarray], path, ylabel: str) -> Path:
 
     for idx, (name, curve) in enumerate(curves.items()):
         color = PALETTE[idx % len(PALETTE)]
-        pts = " ".join(f"{sx(i):.2f},{sy(float(v)):.2f}" for i, v in enumerate(curve))
+        pts = " ".join(f"{sx(i):.2f},{sy(v):.2f}" for i, v in enumerate(curve.tolist()))
         lines.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
         )

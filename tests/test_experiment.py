@@ -157,6 +157,15 @@ class TestRunExperiment:
         run_experiment(loads(SMALL), out, runs=1)
         assert json.loads((out / "manifest.json").read_text())["artifact_paths"]["summary"] == "summary.csv"
 
+    def test_manifest_times_every_cell_serial_and_pooled(self, small_run, tmp_path):
+        out, _ = small_run
+        run_experiment(loads(SMALL), tmp_path / "pool", runs=1, parallel=2)
+        cells = {f"{a}@{snr}" for a in ("lms", "flms", "rvss-flms") for snr in ("10dB", "30dB")}
+        for path in (out, tmp_path / "pool"):
+            seconds = json.loads((path / "manifest.json").read_text())["cell_seconds"]
+            assert set(seconds) == cells
+            assert all(np.isfinite(s) and s > 0 for s in seconds.values())
+
     def test_seed_override_changes_results(self, small_run, tmp_path):
         out, _ = small_run
         other = tmp_path / "other_seed"
@@ -191,6 +200,19 @@ def summary_to_reference(rows, path):
             f"{ni},{r['steady_nwd_db']!r},1.0"
         )
     path.write_text("\n".join(lines) + "\n")
+
+
+def damage_first_row(path, how):
+    """Rewrite line 2 of a file: last field dropped, one field added, a non-UTF-8 byte or an inf."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    row = lines[1]
+    lines[1] = {
+        "short_row": row.rsplit(b",", 1)[0] + b"\n",
+        "extra_field": row.rstrip(b"\n") + b",x\n",
+        "not_utf8": b"\xff" + row,
+        "not_finite": row.rsplit(b",", 1)[0] + b",inf\n",
+    }[how]
+    path.write_bytes(b"".join(lines))
 
 
 class TestCompareToReference:
@@ -260,6 +282,16 @@ class TestCompareToReference:
         summary_to_reference(rows + rows[:1], ref)
         with pytest.raises(FormatError, match="duplicate row"):
             compare_to_reference(out / "summary.csv", ref)
+
+    @pytest.mark.parametrize("how", ["short_row", "extra_field", "not_utf8"])
+    @pytest.mark.parametrize("which", ["summary.csv", "self.reference"])
+    def test_malformed_row_raises(self, small_run, tmp_path, which, how):
+        out, _ = small_run
+        (tmp_path / "summary.csv").write_bytes((out / "summary.csv").read_bytes())
+        summary_to_reference(read_summary(out / "summary.csv"), tmp_path / "self.reference")
+        damage_first_row(tmp_path / which, how)
+        with pytest.raises(FormatError, match=f"{which}:2: "):
+            compare_to_reference(tmp_path / "summary.csv", tmp_path / "self.reference")
 
     def test_schema_mismatch_raises(self, small_run, tmp_path):
         out, _ = small_run
@@ -352,6 +384,34 @@ class TestCli:
     def test_verify_missing_file_exit_code(self, tmp_path):
         assert cli.main(["verify", str(tmp_path / "nope.csv"), "--reference", "table1.reference"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, damaged, how",
+        [
+            (["verify", "summary.csv", "--reference", "self.reference"], "summary.csv", "short_row"),
+            (["verify", "summary.csv", "--reference", "self.reference"], "self.reference", "short_row"),
+            (["verify", "summary.csv", "--reference", "self.reference"], "summary.csv", "not_utf8"),
+            (["plot", "lms_10dB.csv", "--kind", "nwd", "--out", "x.svg"], "lms_10dB.csv", "short_row"),
+            (["plot", "lms_10dB.csv", "--kind", "nwd", "--out", "x.svg"], "lms_10dB.csv", "not_utf8"),
+            (["plot", "lms_10dB.csv", "--kind", "nwd", "--out", "x.svg"], "lms_10dB.csv", "not_finite"),
+            (["run", "tiny.config", "--out", "o"], "tiny.config", "not_utf8"),
+        ],
+        ids=["short_summary", "short_reference", "summary_not_utf8", "short_curve", "curve_not_utf8", "curve_inf",
+             "config_not_utf8"],
+    )
+    def test_malformed_input_exits_2(self, small_run, tmp_path, capsys, monkeypatch, argv, damaged, how):
+        out, _ = small_run
+        for name in ("summary.csv", "lms_10dB.csv"):
+            (tmp_path / name).write_bytes((out / name).read_bytes())
+        summary_to_reference(read_summary(out / "summary.csv"), tmp_path / "self.reference")
+        (tmp_path / "tiny.config").write_text(SMALL)
+        damage_first_row(tmp_path / damaged, how)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        # a ConfigError prints its "invalid config:" header above the problem line
+        assert len(err) == (2 if argv[0] == "run" else 1)
+        assert err[-1].lstrip().startswith(f"{damaged}:")
+
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         config = tmp_path / "bad.config"
         config.write_text(SMALL.replace("nu_max = 0.018", "nu_max = 0.001"))
@@ -407,10 +467,12 @@ class TestCli:
         config.write_text(text + LMS_DIVERGES)
         out = tmp_path / "out"
         assert cli.main(["run", str(config), "--out", str(out), "--bench"]) == 1
-        printed = capsys.readouterr().out
-        assert "bench: LMS 200 iterations" in printed and "bench: FLMS 200 iterations" in printed
+        printed = capsys.readouterr().out.splitlines()
+        bench = [line.split()[1] for line in printed if line.startswith("bench:")]
+        cells = ["lms@10dB", "lms@30dB", "flms@10dB", "flms@30dB"]
+        assert bench == cells
         manifest = json.loads((out / "manifest.json").read_text())
-        assert sorted(manifest["bench_seconds"]) == ["flms", "lms"]
+        assert sorted(manifest["cell_seconds"]) == sorted(cells)
 
     def test_rerun_leaves_only_the_new_manifest_files(self, tmp_path, capsys):
         text = SMALL.replace("samples_per_run = 64", "samples_per_run = 50")

@@ -1,0 +1,75 @@
+"""Pin the artifact bytes of one small grid.
+
+The table below holds the SHA-256 of every file `run_experiment` writes
+except the time-stamped manifest.  It was recorded once and must never be
+regenerated from the code under test: a refactor that changes any result,
+a curve digit or an SVG coordinate fails here.
+
+The config is paper-x60 at R=5 and 8/10 dB with large step sizes, so
+FLMS and RVSS-FLMS lose some runs to divergence and every LMS run
+diverges.  That keeps the partly-diverged and the all-diverged paths
+under the pin too.
+"""
+
+import hashlib
+import re
+
+import pytest
+
+from fraclms.configfile import bundled_path, loads
+from fraclms.experiment import read_summary, run_experiment
+from test_experiment import LMS_DIVERGES
+
+EDITS = {
+    "monte_carlo_runs": "5",
+    "snr_db": "8, 10",
+    "nu_init": "0.33",
+    "nu_f_init": "0.33",
+    "nu_min": "0.33",
+    "nu_max": "0.43",
+}
+
+GOLDEN = {
+    "flms_10dB.csv": "d7b1e0271da0981897153192df68cd58a124407357db541934a9afa0bb0d85bd",
+    "flms_8dB.csv": "725fae82a2b9e1fb50a7e452d876b4dd2cfcad8344b787bc5a6e29324f3c0076",
+    "mse_10dB.svg": "90f1c0585656c20713cf2d33af3da22f9c26a146a0119b691a4ba2ba44edcd42",
+    "mse_8dB.svg": "780744eec9b0446d418078b742a0b746dc1fefcd6c3a652d36b68d53921fdb09",
+    "nwd_10dB.svg": "ed883bd3101fedfe72af28c3543bf041216a77deed55bb30f9bc5b1d9f9e3e1b",
+    "nwd_8dB.svg": "78d4bef8ef36d86b512b98a54cabecef5074f704565fb8351ba243c4ed142b80",
+    "rvss-flms_10dB.csv": "0dc327f0b583a48274b7185998e623abbcba80122658173fc139c948a9b477f1",
+    "rvss-flms_8dB.csv": "ceeeeb0d10d4fa3eb1bc27dd36ab09d59f33621fcf9d66bbd02faf02bc35ce48",
+    "summary.csv": "4b2437c8d61cafd72d07ff61977937134a952b8b772157d20a04fbdc1a5192a9",
+}
+
+
+def golden_config():
+    text = bundled_path("paper-x60.config").read_text(encoding="utf-8")
+    for key, value in EDITS.items():
+        text, n = re.subn(rf"^{key}\s*=.*$", f"{key} = {value}", text, flags=re.M)
+        assert n == 1, key
+    return loads(text + LMS_DIVERGES)
+
+
+def artifact_hashes(out):
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.iterdir())
+        if p.name != "manifest.json"
+    }
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden")
+    run_experiment(golden_config(), out)
+    return out
+
+
+def test_artifact_bytes_match_recorded_table(golden_run):
+    assert artifact_hashes(golden_run) == GOLDEN
+
+
+def test_config_covers_partial_and_total_divergence(golden_run):
+    counts = [(r["runs_used"], r["runs_diverged"]) for r in read_summary(golden_run / "summary.csv")]
+    assert any(used > 0 and 0 < diverged < 5 for used, diverged in counts)
+    assert (0, 5) in counts
