@@ -41,6 +41,9 @@ def _resolve_input(path_str: str) -> Path:
 
 
 def _cmd_run(args) -> int:
+    if args.parallel < 1:
+        print(f"--parallel must be >= 1, got {args.parallel}", file=sys.stderr)
+        return 2
     try:
         manifest = run_experiment(
             _resolve_input(args.config),
@@ -64,8 +67,8 @@ def _cmd_run(args) -> int:
             f"runs {row['runs_used']} (+{row['runs_diverged']} diverged)"
         )
     if args.bench:
-        for cell, seconds in manifest.cell_seconds.items():
-            print(f"bench: {cell} {seconds:.4f} s")
+        for name, seconds in manifest.batch_seconds.items():
+            print(f"bench: {name} {seconds:.4f} s")
     print(f"artifacts written to {args.out}")
     empty = [row for row in rows if row["runs_used"] == 0]
     for row in empty:
@@ -119,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override rng_seed")
     p_run.add_argument("--runs", type=int, default=None, help="override monte_carlo_runs")
-    p_run.add_argument("--parallel", type=int, default=1, help="worker processes for grid cells")
-    p_run.add_argument("--bench", action="store_true", help="print the measured seconds of each grid cell")
+    p_run.add_argument("--parallel", type=int, default=1, help="worker processes, at most one per algorithm")
+    p_run.add_argument("--bench", action="store_true", help="print the simulation seconds of each algorithm")
     p_run.set_defaults(fn=_cmd_run)
 
     p_ver = sub.add_parser("verify", help="check a summary.csv against a reference table")

@@ -4,7 +4,8 @@ a summary table, SVG plots and a JSON manifest, and checks summaries
 against a reference table.
 
 All files are written with deterministic bytes for a fixed (config, seed),
-except the manifest, which carries a timestamp and the time of each cell.
+except the manifest, which carries a timestamp and the time of each
+algorithm's simulation.
 """
 
 from __future__ import annotations
@@ -79,8 +80,11 @@ class ExperimentManifest:
 
     config_text: str
     artifact_paths: dict
-    # wall seconds of each cell's simulation, keyed like artifact_paths["curves"]
-    cell_seconds: dict
+    # wall seconds of each algorithm's simulation, one batch over every SNR and run
+    batch_seconds: dict
+    # per cell, keyed like artifact_paths["curves"]: the sorted sample index
+    # at which each diverged run was dropped
+    diverged_at: dict
     software_version: str
     timestamp: str
 
@@ -100,12 +104,12 @@ def _snr_tag(snr: float) -> str:
     return f"{snr:g}dB"
 
 
-def _run_cell(args) -> tuple[list, int, float]:
+def _run_batch(args) -> tuple[str, list, float]:
     # a module-level function that looks run_ensemble up per call, so a
     # process pool can pickle it even when run_ensemble has been wrapped
     t0 = time.perf_counter()
-    series, diverged = run_ensemble(*args)
-    return series, diverged, time.perf_counter() - t0
+    cells = run_ensemble(*args)
+    return args[0], cells, time.perf_counter() - t0
 
 
 def _remove_previous_run(out: Path) -> None:
@@ -140,8 +144,12 @@ def run_experiment(
     Diverged runs are excluded from averages and counted per cell.  A cell
     whose runs all diverged gets only its summary row (runs_used 0, NaN
     levels) and is left out of the curves and plots.  The files of an
-    earlier run that the manifest in out_dir lists are deleted first.  The
-    manifest records how long each cell's simulation took.
+    earlier run that the manifest in out_dir lists are deleted first.
+
+    Each algorithm is simulated as one batch over every SNR and run; with
+    parallel > 1 a process pool runs the batches, at most one worker per
+    algorithm.  The manifest records how long each batch took and when
+    each diverged run was dropped.
     """
     if not isinstance(config, ExperimentConfig):
         config = load(config)
@@ -156,33 +164,34 @@ def run_experiment(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    shared = (config.samples_per_run, config.monte_carlo_runs, config.rng_seed)
-    keys, cells = [], []
-    for spec in config.algorithms:
-        for snr in config.snr_db_list:
-            keys.append((spec.name, snr))
-            cells.append((spec.name, spec.filter, config.plant_at(snr), *shared))
+    plants = [config.plant_at(snr) for snr in config.snr_db_list]
+    shared = (plants, config.samples_per_run, config.monte_carlo_runs, config.rng_seed)
+    batches = [(spec.name, spec.filter, *shared) for spec in config.algorithms]
     if parallel > 1:
-        # a fork-started pool forks every worker at once, so start no more than there are cells
-        with ProcessPoolExecutor(max_workers=min(parallel, len(cells))) as pool:
-            results = list(pool.map(_run_cell, cells))
+        # a fork-started pool forks every worker at once, so start no more than there are batches
+        with ProcessPoolExecutor(max_workers=min(parallel, len(batches))) as pool:
+            results = list(pool.map(_run_batch, batches))
     else:
-        results = list(map(_run_cell, cells))
+        # lazily, so that each batch's runs are freed once reduced to reports below
+        results = map(_run_batch, batches)
+
+    reports: dict[tuple[str, float], EnsembleReport] = {}
+    batch_seconds, diverged_at = {}, {}
+    for name, cells, seconds in results:
+        batch_seconds[name] = seconds
+        for snr, (series, lost) in zip(config.snr_db_list, cells):
+            diverged_at[f"{name}@{_snr_tag(snr)}"] = lost
+            reports[(name, snr)] = build_report(series, runs_diverged=len(lost))
+        del cells, series  # free this batch's runs before the next one runs
 
     _remove_previous_run(out)
-    reports: dict[tuple[str, float], EnsembleReport] = {}
     artifact_paths: dict = {"curves": {}, "plots": {}, "summary": "summary.csv"}
-    cell_seconds = {}
-    for (name, snr), (series, diverged, seconds) in zip(keys, results):
-        cell = f"{name}@{_snr_tag(snr)}"
-        cell_seconds[cell] = seconds
-        report = build_report(series, runs_diverged=diverged)
-        reports[(name, snr)] = report
+    for (name, snr), report in reports.items():
         if report.runs_used == 0:
             continue
         fname = f"{name}_{_snr_tag(snr)}.csv"
         _write_curves(out / fname, report)
-        artifact_paths["curves"][cell] = fname
+        artifact_paths["curves"][f"{name}@{_snr_tag(snr)}"] = fname
 
     for snr in config.snr_db_list:
         per_algo = {LABELS[s.name]: reports[(s.name, snr)] for s in config.algorithms}
@@ -199,7 +208,8 @@ def run_experiment(
     manifest = ExperimentManifest(
         config_text=dumps(config),
         artifact_paths=artifact_paths,
-        cell_seconds=cell_seconds,
+        batch_seconds=batch_seconds,
+        diverged_at=diverged_at,
         software_version=__version__,
         timestamp=datetime.now(timezone.utc).isoformat(),
     )

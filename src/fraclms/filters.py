@@ -8,17 +8,21 @@ update with a fractional-order gradient term; RVSS-FLMS additionally drives
 the step size from a low-pass filtered error autocorrelation (see
 :mod:`fraclms.stepsize`).
 
-All operations are pure: they take a state and return a new state, so
-independent filter instances can be advanced in parallel.  A single state
-must only be advanced one step at a time.  The tap window x passed to the
-updates is a plain array of recent inputs, most recent first.
+All operations are pure: they take a state and return a new state.  Every
+update takes a leading batch axis: a state holds (K,) weights and scalar
+nu, p and prev_error for one filter, or (rows, K) weights and (rows,)
+arrays for a batch of independent filters advanced together.  The tap
+window x is (K,) or (rows, K), most recent input first.  Every row is
+computed with the same operations in the same order as a single filter,
+so a batch row is bitwise equal to that filter run alone.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -56,7 +60,7 @@ class FracPowerPolicy(enum.Enum):
 
 
 class DivergedError(RuntimeError):
-    """A filter update produced a non-finite weight, error or step size."""
+    """An update left no filter of the state with finite weights, error and step size."""
 
     def __init__(self, iteration: int):
         self.iteration = iteration
@@ -130,19 +134,28 @@ class FilterConfig:
 
 @dataclass(slots=True)
 class FilterState:
-    """Mutable per-run state: weights, step size, error correlation."""
+    """Weights, step size and error correlation of one filter or of a batch.
+
+    One filter: (K,) weights and float nu, p and prev_error.  A batch:
+    (rows, K) weights and (rows,) nu, p and prev_error.
+    """
 
     weights: np.ndarray
-    nu: float
-    p: float
-    prev_error: float
+    nu: float | np.ndarray
+    p: float | np.ndarray
+    prev_error: float | np.ndarray
     iteration: int = 0
 
 
-def initial_state(cfg: FilterConfig) -> FilterState:
-    """Fresh state: all weights at weight_init, nu at nu_init, no history."""
-    w = np.full(cfg.tap_count, float(cfg.weight_init))
-    return FilterState(weights=w, nu=float(cfg.nu_init), p=0.0, prev_error=0.0, iteration=0)
+def initial_state(cfg: FilterConfig, rows: Optional[int] = None) -> FilterState:
+    """Fresh state: all weights at weight_init, nu at nu_init, no history.
+
+    With rows, a batch of that many identical filters.
+    """
+    w0, nu = float(cfg.weight_init), float(cfg.nu_init)
+    if rows is None:
+        return FilterState(np.full(cfg.tap_count, w0), nu, 0.0, 0.0)
+    return FilterState(np.full((rows, cfg.tap_count), w0), np.full(rows, nu), np.zeros(rows), np.zeros(rows))
 
 
 def cost(error: float) -> float:
@@ -150,23 +163,26 @@ def cost(error: float) -> float:
     return 0.5 * error * error
 
 
-def tap_dot(a, b) -> float:
-    """Inner product accumulated in tap order, from 0.0, in python floats.
+def tap_dot(a, b):
+    """Inner product over the last axis, accumulated in tap order from 0.0.
 
-    Every inner product of the simulation goes through here so results
-    are bit-reproducible against any plain sequential implementation.
+    Leading axes broadcast, so one call serves a batch of rows.  Every inner
+    product of the simulation goes through here, so each row is
+    bit-reproducible against a plain sequential loop in python floats.
     """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     acc = 0.0
-    for i in range(len(a)):
-        acc += float(a[i]) * float(b[i])
+    for i in range(a.shape[-1]):
+        acc = acc + a[..., i] * b[..., i]
     return acc
 
 
-def predict(state: FilterState, x: np.ndarray) -> float:
-    """Filter output: inner product of the weights with the tap window x."""
+def predict(state: FilterState, x: np.ndarray):
+    """Filter output: inner product of the weights with the tap window x, per row."""
     w = state.weights
-    if len(w) != len(x):
-        raise ValueError(f"regressor length {len(x)} does not match tap count {len(w)}")
+    if w.shape[-1] != np.shape(x)[-1]:
+        raise ValueError(f"regressor length {np.shape(x)[-1]} does not match tap count {w.shape[-1]}")
     return tap_dot(w, x)
 
 
@@ -213,8 +229,9 @@ def fractional_gradient(
     return -error * x * wp / gamma(2.0 - f)
 
 
-def _check_finite(weights: np.ndarray, error: float, nu: float, iteration: int) -> None:
-    if not (math.isfinite(error) and math.isfinite(nu) and bool(np.isfinite(weights).all())):
+def _check_finite(weights: np.ndarray, error, nu, iteration: int) -> None:
+    # a batch goes on while any row is finite; its caller masks the others
+    if not (np.isfinite(error) & np.isfinite(nu) & np.isfinite(weights).all(axis=-1)).any():
         raise DivergedError(iteration)
 
 
@@ -226,13 +243,14 @@ def flms_step(
     w <- w + nu*e*x + nu_f*e*x*w**(1-f)/gamma(2-f).  With nu_f_init = 0
     this is exactly the plain LMS recursion.
 
-    Returns the advanced state and the prediction error; raises
-    :class:`DivergedError` if the update produces a non-finite value.
+    Returns the advanced state and the prediction error of each row; raises
+    :class:`DivergedError` if the update leaves no row finite.
     """
     error = desired - predict(state, x)
+    e = error[..., None]
     f = cfg.frac_order
     wp = frac_power(state.weights, 1.0 - f, cfg.frac_power_policy)
-    w = state.weights + (cfg.nu_init * error) * x + (cfg.nu_f_init * error) * x * wp / gamma(2.0 - f)
+    w = state.weights + (cfg.nu_init * e) * x + (cfg.nu_f_init * e) * x * wp / gamma(2.0 - f)
     _check_finite(w, error, state.nu, state.iteration)
     new = FilterState(weights=w, nu=state.nu, p=state.p, prev_error=error, iteration=state.iteration + 1)
     return new, error
@@ -249,7 +267,7 @@ def rvss_flms_step(
     """
     error = desired - predict(state, x)
     wp = frac_power(state.weights, 1.0 - cfg.frac_order, cfg.frac_power_policy)
-    w = state.weights + (state.nu * error) * x * (1.0 + wp)
+    w = state.weights + (state.nu * error)[..., None] * x * (1.0 + wp)
     p = update_correlation(state.p, error, state.prev_error, cfg.alpha)
     nu = update_step_size(state.nu, p, cfg)
     _check_finite(w, error, nu, state.iteration)

@@ -1,6 +1,7 @@
 """
 System-identification simulation: BPSK excitation, FIR plant with additive
-Gaussian disturbance, and the sample-by-sample identification loop.
+Gaussian disturbance, and the identification loop, which advances every
+run of an algorithm against every plant as one batch of rows.
 
 Randomness is organized as named streams: every (run index, role) pair gets
 an independent generator derived from (seed, run, role), so Monte-Carlo
@@ -12,8 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .filters import (
     DivergedError,
@@ -23,7 +26,7 @@ from .filters import (
     rvss_flms_step,
     tap_dot,
 )
-from .metrics import nwd_db
+from .metrics import nwd_db, weight_distance
 
 __all__ = [
     "LABELS",
@@ -162,7 +165,7 @@ def bpsk_sequence(n_samples: int, rng: np.random.Generator) -> np.ndarray:
 
 def clean_plant_power(coeffs) -> float:
     """Output power of the FIR plant under unit-power uncorrelated +-1 input."""
-    return tap_dot(coeffs, coeffs)
+    return float(tap_dot(coeffs, coeffs))
 
 
 def snr_to_variance(snr_db: float, signal_power: float) -> float:
@@ -172,11 +175,16 @@ def snr_to_variance(snr_db: float, signal_power: float) -> float:
     return signal_power / 10.0 ** (snr_db / 10.0)
 
 
-def plant_output(x: np.ndarray, spec: PlantSpec, rng: np.random.Generator) -> float:
-    """One noisy plant sample: coeffs . x + N(0, disturbance_variance), x newest first."""
-    if len(spec.coeffs) != len(x):
-        raise ValueError(f"window length {len(x)} does not match plant order {len(spec.coeffs)}")
-    return tap_dot(spec.coeffs, x) + float(rng.standard_normal()) * math.sqrt(spec.disturbance_variance)
+def plant_output(x: np.ndarray, spec: PlantSpec, z):
+    """Noisy plant response: coeffs . x + z * sqrt(disturbance_variance).
+
+    x holds tap windows on its last axis, newest first: one window, or one
+    per run and sample.  z holds the standard-normal disturbance draws, one
+    per window.
+    """
+    if len(spec.coeffs) != np.shape(x)[-1]:
+        raise ValueError(f"window length {np.shape(x)[-1]} does not match plant order {len(spec.coeffs)}")
+    return tap_dot(spec.coeffs, x) + z * math.sqrt(spec.disturbance_variance)
 
 
 def _dispatch(algorithm: str, cfg: FilterConfig):
@@ -193,65 +201,87 @@ def _dispatch(algorithm: str, cfg: FilterConfig):
 def run_identification(
     algorithm: str,
     cfg: FilterConfig,
-    plant: PlantSpec,
-    n_samples: int,
-    input_rng: np.random.Generator,
-    disturbance_rng: np.random.Generator,
-) -> RunSeries:
-    """Drive one filter through the identification loop, sample by sample.
+    plants: Sequence[PlantSpec],
+    x: np.ndarray,
+    z: np.ndarray,
+) -> list[tuple[list[RunSeries], list[int]]]:
+    """Drive a batch of filters through the identification loop together.
 
-    The regressor window uses zero prehistory for the first tap_count - 1
-    samples.  Records squared prediction error and the NWD of the weights
-    against the plant coefficients after every update.  A non-finite state
-    raises :class:`~fraclms.filters.DivergedError` with the iteration index.
+    x and z are (R, N): the BPSK input and the standard-normal disturbance
+    draws of R runs.  Every plant reuses them, scaled by its own
+    sqrt(disturbance_variance), so the batch has one row per (plant, run),
+    plant-major: row s*R + r is run r against plants[s].  The regressor
+    window uses zero prehistory for the first tap_count - 1 samples.
+
+    A row is masked at the first sample whose squared error, step size or
+    NWD is not finite.  Returns, per plant, the series of the runs that
+    stayed finite (squared prediction error and NWD after every update) and
+    the sorted sample index at which each other run was masked.
     """
     step_fn, step_cfg = _dispatch(algorithm, cfg)
     k = cfg.tap_count
-    if len(plant.coeffs) != k:
-        raise ValueError(f"tap_count {k} does not match plant order {len(plant.coeffs)}")
+    for plant in plants:
+        if len(plant.coeffs) != k:
+            raise ValueError(f"tap_count {k} does not match plant order {len(plant.coeffs)}")
+    runs, n_samples = x.shape
+    rows = len(plants) * runs
 
-    x = bpsk_sequence(n_samples, input_rng)
-    padded = np.concatenate([np.zeros(k - 1), x])
-    truth = np.asarray(plant.coeffs, dtype=float)
+    padded = np.zeros((len(plants), runs, k - 1 + n_samples))
+    padded[:, :, k - 1 :] = x
+    windows = sliding_window_view(padded.reshape(rows, -1), k, axis=1)[..., ::-1]  # (rows, N, K), newest first
+    desired = np.empty((rows, n_samples))
+    for s, plant in enumerate(plants):
+        desired[s * runs : (s + 1) * runs] = plant_output(windows[s * runs : (s + 1) * runs], plant, z)
+    truth = np.repeat([plant.coeffs for plant in plants], runs, axis=0).astype(float)
 
-    state = initial_state(cfg)
-    e2 = np.empty(n_samples)
-    nwd = np.empty(n_samples)
-    for n in range(n_samples):
-        x_n = padded[n : n + k][::-1]
-        desired = plant_output(x_n, plant, disturbance_rng)
-        state, err = step_fn(state, x_n, desired, step_cfg)
-        sq = err * err
-        val = nwd_db(state.weights, truth)
-        if not (math.isfinite(sq) and math.isfinite(val)):
-            # _check_finite passes a finite error or weight whose square overflows
-            raise DivergedError(n)
-        e2[n] = sq
-        nwd[n] = val
-    return RunSeries(squared_error=e2, nwd_db=nwd)
+    state = initial_state(cfg, rows)
+    e2 = desired  # a step consumes its column of desired; its squared errors then overwrite it
+    distance = np.empty((rows, n_samples))
+    diverged_at = np.full(rows, -1)
+    with np.errstate(all="ignore"):
+        for n in range(n_samples):
+            try:
+                state, err = step_fn(state, windows[:, n], desired[:, n], step_cfg)
+            except DivergedError:  # no row is finite any more
+                diverged_at[diverged_at < 0] = n
+                break
+            sq = err * err
+            ratio = weight_distance(state.weights, truth)
+            e2[:, n] = sq
+            distance[:, n] = ratio
+            bad = ~(np.isfinite(sq) & np.isfinite(ratio) & np.isfinite(state.nu)) & (diverged_at < 0)
+            diverged_at[bad] = n
+    del windows, padded  # free the input before the dB conversion allocates
+
+    cells = []
+    for s in range(len(plants)):
+        lost = diverged_at[s * runs : (s + 1) * runs]
+        kept = s * runs + np.flatnonzero(lost < 0)
+        nwd = nwd_db(distance[kept])
+        series = [RunSeries(squared_error=e2[row], nwd_db=curve) for row, curve in zip(kept, nwd)]
+        cells.append((series, sorted(lost[lost >= 0].tolist())))
+    return cells
 
 
 def run_ensemble(
     algorithm: str,
     cfg: FilterConfig,
-    plant: PlantSpec,
+    plants: Sequence[PlantSpec],
     n_samples: int,
     monte_carlo_runs: int,
     seed: int,
-) -> tuple[list[RunSeries], int]:
-    """Execute an ensemble of independent runs.
+) -> list[tuple[list[RunSeries], list[int]]]:
+    """Execute an ensemble of independent runs against every plant, as one batch.
 
-    Diverged runs are dropped from the returned list and counted; every
-    run r draws its input and disturbance from streams derived from
-    (seed, r, role) regardless of algorithm, so different algorithms see
-    identical signals.
+    Every run r draws its input and disturbance from streams derived from
+    (seed, r, role) regardless of algorithm and plant, so different
+    algorithms see identical signals.  Returns what
+    :func:`run_identification` returns: per plant, the runs that stayed
+    finite and the sample index at which each other run diverged.
     """
-    series: list[RunSeries] = []
-    diverged = 0
+    x = np.empty((monte_carlo_runs, n_samples))
+    z = np.empty((monte_carlo_runs, n_samples))
     for r in range(monte_carlo_runs):
-        try:
-            input_rng, disturbance_rng = stream(seed, r, ROLE_INPUT), stream(seed, r, ROLE_DISTURBANCE)
-            series.append(run_identification(algorithm, cfg, plant, n_samples, input_rng, disturbance_rng))
-        except DivergedError:
-            diverged += 1
-    return series, diverged
+        x[r] = bpsk_sequence(n_samples, stream(seed, r, ROLE_INPUT))
+        z[r] = stream(seed, r, ROLE_DISTURBANCE).standard_normal(n_samples)
+    return run_identification(algorithm, cfg, plants, x, z)

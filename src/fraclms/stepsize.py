@@ -1,9 +1,12 @@
 """Robust variable step size: error-energy correlation and clamped geometric
-step update.  Pure scalar functions."""
+step update.  Pure elementwise functions: floats for one filter, (rows,)
+arrays for a batch."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = ["StepSizeParams", "update_correlation", "update_step_size"]
 
@@ -23,19 +26,16 @@ class StepSizeParams:
     nu_max: float
 
 
-def update_correlation(p_prev: float, e_now: float, e_prev: float, alpha: float) -> float:
+def update_correlation(p_prev, e_now, e_prev, alpha: float):
     """Average error-energy correlation: alpha*p + (1-alpha)*e(n)*e(n-1)."""
     return alpha * p_prev + (1.0 - alpha) * e_now * e_prev
 
 
-def update_step_size(nu: float, p: float, params) -> float:
+def update_step_size(nu, p, params):
     """Advance the step size, beta*nu + gamma*p**2, clamped to [nu_min, nu_max].
 
     Boundary values pass through unchanged (closed interval).
     """
     raw = params.beta * nu + params.gamma * p * p
-    if raw > params.nu_max:
-        return params.nu_max
-    if raw < params.nu_min:
-        return params.nu_min
-    return raw
+    # max/min return one of their operands exactly, and a NaN raw stays NaN
+    return np.minimum(np.maximum(raw, params.nu_min), params.nu_max)

@@ -140,7 +140,7 @@ class TestRunExperiment:
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
         run_experiment(loads(SMALL), tmp_path / "many", runs=1, parallel=64)
         run_experiment(loads(SMALL), tmp_path / "two", runs=1, parallel=2)
-        assert requested == [6, 2]
+        assert requested == [3, 2]
 
     def test_rerun_unlinks_only_plain_names_inside_out(self, tmp_path):
         out = tmp_path / "out"
@@ -162,9 +162,11 @@ class TestRunExperiment:
         run_experiment(loads(SMALL), tmp_path / "pool", runs=1, parallel=2)
         cells = {f"{a}@{snr}" for a in ("lms", "flms", "rvss-flms") for snr in ("10dB", "30dB")}
         for path in (out, tmp_path / "pool"):
-            seconds = json.loads((path / "manifest.json").read_text())["cell_seconds"]
-            assert set(seconds) == cells
+            manifest = json.loads((path / "manifest.json").read_text())
+            seconds = manifest["batch_seconds"]
+            assert set(seconds) == {"lms", "flms", "rvss-flms"}
             assert all(np.isfinite(s) and s > 0 for s in seconds.values())
+            assert manifest["diverged_at"] == {cell: [] for cell in cells}
 
     def test_seed_override_changes_results(self, small_run, tmp_path):
         out, _ = small_run
@@ -469,10 +471,27 @@ class TestCli:
         assert cli.main(["run", str(config), "--out", str(out), "--bench"]) == 1
         printed = capsys.readouterr().out.splitlines()
         bench = [line.split()[1] for line in printed if line.startswith("bench:")]
-        cells = ["lms@10dB", "lms@30dB", "flms@10dB", "flms@30dB"]
-        assert bench == cells
+        assert bench == ["lms", "flms"]
         manifest = json.loads((out / "manifest.json").read_text())
-        assert sorted(manifest["cell_seconds"]) == sorted(cells)
+        assert sorted(manifest["batch_seconds"]) == ["flms", "lms"]
+        diverged_at = manifest["diverged_at"]
+        assert sorted(diverged_at) == ["flms@10dB", "flms@30dB", "lms@10dB", "lms@30dB"]
+        assert diverged_at["flms@10dB"] == diverged_at["flms@30dB"] == []
+        for cell in ("lms@10dB", "lms@30dB"):
+            assert len(diverged_at[cell]) == 3
+            assert diverged_at[cell] == sorted(diverged_at[cell])
+            assert all(0 <= n < 64 for n in diverged_at[cell])
+        assert (out / "summary.csv").read_text().splitlines()[0] == ",".join(SUMMARY_FIELDS)
+
+    @pytest.mark.parametrize("parallel", ["0", "-2"])
+    def test_parallel_below_one_exits_2(self, tmp_path, capsys, parallel):
+        config = tmp_path / "tiny.config"
+        config.write_text(SMALL)
+        out = tmp_path / "o"
+        assert cli.main(["run", str(config), "--out", str(out), "--parallel", parallel]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"--parallel must be >= 1, got {parallel}"]
+        assert not out.exists()
 
     def test_rerun_leaves_only_the_new_manifest_files(self, tmp_path, capsys):
         text = SMALL.replace("samples_per_run = 64", "samples_per_run = 50")

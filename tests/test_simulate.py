@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fraclms.filters import DivergedError, FilterConfig, flms_step, initial_state, rvss_flms_step
+from fraclms.filters import FilterConfig, flms_step, initial_state, rvss_flms_step
 from fraclms.simulate import (
     ROLE_DISTURBANCE,
     ROLE_INPUT,
@@ -20,6 +20,18 @@ from fraclms.simulate import (
 )
 
 PAPER_PLANT = PlantSpec(coeffs=(0.9, 0.3, -0.1))
+
+
+def single_run(algorithm, cfg, plant, n, seed, run=0):
+    """run_identification on a batch of one: run `run` of `seed` against plant.
+
+    Returns the run's series (None if it diverged) and the masked sample
+    indices.
+    """
+    x = bpsk_sequence(n, stream(seed, run, ROLE_INPUT))[None]
+    z = stream(seed, run, ROLE_DISTURBANCE).standard_normal(n)[None]
+    [(series, diverged_at)] = run_identification(algorithm, cfg, [plant], x, z)
+    return (series[0] if series else None), diverged_at
 
 
 def scaled_config(**over):
@@ -93,24 +105,24 @@ class TestSnrToVariance:
 class TestPlantOutput:
     def test_noiseless_hand_value(self):
         spec = PlantSpec(coeffs=(0.9, 0.3, -0.1), disturbance_variance=0.0)
-        got = plant_output(np.ones(3), spec, stream(0, 0, ROLE_DISTURBANCE))
+        got = plant_output(np.ones(3), spec, stream(0, 0, ROLE_DISTURBANCE).standard_normal())
         assert got == pytest.approx(1.1, rel=1e-12)
 
     def test_selector(self):
         spec = PlantSpec(coeffs=(1.0, 0.0, 0.0), disturbance_variance=0.0)
-        got = plant_output(np.array([-1.0, 1.0, 1.0]), spec, stream(0, 0, 1))
+        got = plant_output(np.array([-1.0, 1.0, 1.0]), spec, stream(0, 0, 1).standard_normal())
         assert got == -1.0
 
     def test_window_mismatch(self):
         spec = PlantSpec(coeffs=(1.0, 0.5))
         with pytest.raises(ValueError):
-            plant_output(np.ones(3), spec, stream(0, 0, 1))
+            plant_output(np.ones(3), spec, 0.0)
 
     def test_disturbance_variance_calibration(self):
         spec = PlantSpec(coeffs=(1.0,), disturbance_variance=0.01)
         rng = stream(7, 0, ROLE_DISTURBANCE)
-        zero_window = np.zeros(1)
-        draws = np.array([plant_output(zero_window, spec, rng) for _ in range(100_000)])
+        zero_windows = np.zeros((100_000, 1))
+        draws = plant_output(zero_windows, spec, rng.standard_normal(100_000))
         assert 0.0093 < float(np.var(draws)) < 0.0107
 
     def test_snr_calibration_within_tenth_db(self):
@@ -127,7 +139,7 @@ class TestRunIdentification:
     def test_scalar_lms_contraction(self):
         cfg = scaled_config(tap_count=1, nu_init=0.4, nu_f_init=0.0, nu_min=0.1, nu_max=0.5)
         plant = PlantSpec(coeffs=(0.5,), disturbance_variance=0.0)
-        series = run_identification("lms", cfg, plant, 50, stream(3, 0, 0), stream(3, 0, 1))
+        series, _ = single_run("lms", cfg, plant, 50, seed=3)
         assert np.all(np.diff(series.squared_error) <= 0.0)
         # |w - 0.5| < 1e-3 means NWD below 20*log10(1e-3 / 0.5)
         assert series.nwd_db[-1] < 20.0 * math.log10(1e-3 / 0.5)
@@ -135,8 +147,8 @@ class TestRunIdentification:
     def test_bit_for_bit_reproducible(self):
         cfg = scaled_config()
         plant = PlantSpec(coeffs=PAPER_PLANT.coeffs, disturbance_variance=0.05)
-        a = run_identification("rvss-flms", cfg, plant, 120, stream(9, 4, 0), stream(9, 4, 1))
-        b = run_identification("rvss-flms", cfg, plant, 120, stream(9, 4, 0), stream(9, 4, 1))
+        a, _ = single_run("rvss-flms", cfg, plant, 120, seed=9, run=4)
+        b, _ = single_run("rvss-flms", cfg, plant, 120, seed=9, run=4)
         assert np.array_equal(a.squared_error, b.squared_error)
         assert np.array_equal(a.nwd_db, b.nwd_db)
 
@@ -149,7 +161,7 @@ class TestRunIdentification:
         var = 0.02
         plant = PlantSpec(coeffs=PAPER_PLANT.coeffs, disturbance_variance=var)
         n = 200
-        series = run_identification("lms", cfg, plant, n, stream(21, 0, 0), stream(21, 0, 1))
+        series, _ = single_run("lms", cfg, plant, n, seed=21)
 
         x = [float(v) for v in bpsk_sequence(n, stream(21, 0, 0))]
         drng = stream(21, 0, 1)
@@ -177,7 +189,7 @@ class TestRunIdentification:
         var = 0.0091
         plant = PlantSpec(coeffs=PAPER_PLANT.coeffs, disturbance_variance=var)
         n = 150
-        series = run_identification("rvss-flms", cfg, plant, n, stream(5, 2, 0), stream(5, 2, 1))
+        series, _ = single_run("rvss-flms", cfg, plant, n, seed=5, run=2)
 
         x = bpsk_sequence(n, stream(5, 2, 0))
         drng = stream(5, 2, 1)
@@ -185,7 +197,7 @@ class TestRunIdentification:
         state = initial_state(cfg)
         for i in range(n):
             reg = padded[i : i + 3][::-1]
-            desired = plant_output(reg, plant, drng)
+            desired = plant_output(reg, plant, drng.standard_normal())
             state, e = rvss_flms_step(state, reg, desired, cfg)
             assert series.squared_error[i] == e * e
 
@@ -194,29 +206,27 @@ class TestRunIdentification:
         plant = PlantSpec(coeffs=PAPER_PLANT.coeffs, disturbance_variance=0.0)
         cfg = scaled_config(nu_init=0.05, nu_f_init=0.05, nu_min=0.05, nu_max=0.1)
         for algo in ("lms", "flms", "rvss-flms"):
-            series = run_identification(algo, cfg, plant, 600, stream(1, 0, 0), stream(1, 0, 1))
+            series, _ = single_run(algo, cfg, plant, 600, seed=1)
             assert series.nwd_db[-1] < -60.0, algo
 
     def test_overflowing_square_diverges_at_first_sample(self):
         # every value of the first step is finite, so the step itself does
-        # not raise; only the squared error overflows
+        # not raise; only the squared error overflows, and masks the run
         cfg = scaled_config(weight_init=1e160)
         plant = PlantSpec(coeffs=PAPER_PLANT.coeffs, disturbance_variance=0.0)
         x = bpsk_sequence(1, stream(3, 0, 0))
         window = np.array([x[0], 0.0, 0.0])
         _, err = flms_step(initial_state(cfg), window, 0.0, cfg)
         assert math.isfinite(err) and not math.isfinite(err * err)
-        with pytest.raises(DivergedError) as exc:
-            run_identification("lms", cfg, plant, 10, stream(3, 0, 0), stream(3, 0, 1))
-        assert exc.value.iteration == 0
+        assert single_run("lms", cfg, plant, 10, seed=3) == (None, [0])
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
-            run_identification("amflms", scaled_config(), PAPER_PLANT, 10, stream(0, 0, 0), stream(0, 0, 1))
+            single_run("amflms", scaled_config(), PAPER_PLANT, 10, seed=0)
 
     def test_plant_order_mismatch(self):
         with pytest.raises(ValueError, match="plant order"):
-            run_identification("lms", scaled_config(tap_count=4), PAPER_PLANT, 10, stream(0, 0, 0), stream(0, 0, 1))
+            single_run("lms", scaled_config(tap_count=4), PAPER_PLANT, 10, seed=0)
 
 
 class TestRunEnsemble:
@@ -227,15 +237,15 @@ class TestRunEnsemble:
         cfg = scaled_config()
         first = {}
         for algo in ("lms", "flms", "rvss-flms"):
-            series, _ = run_ensemble(algo, cfg, plant, 1, 3, seed=77)
+            [(series, _)] = run_ensemble(algo, cfg, [plant], 1, 3, seed=77)
             first[algo] = [s.squared_error[0] for s in series]
         assert first["lms"] == first["flms"] == first["rvss-flms"]
 
     def test_diverged_runs_counted_and_excluded(self):
         cfg = scaled_config(nu_init=2.0, nu_f_init=0.0, nu_min=0.1, nu_max=3.0)
         plant = PlantSpec(coeffs=PAPER_PLANT.coeffs, disturbance_variance=0.0)
-        series, diverged = run_ensemble("lms", cfg, plant, 600, 4, seed=12)
-        assert diverged == 4
+        [(series, diverged_at)] = run_ensemble("lms", cfg, [plant], 600, 4, seed=12)
+        assert len(diverged_at) == 4
         assert series == []
 
     def test_reaches_noise_floor_at_40db_in_most_runs(self):
@@ -243,7 +253,7 @@ class TestRunEnsemble:
         # run for nearly every ensemble member
         power = clean_plant_power(PAPER_PLANT.coeffs)
         plant = PlantSpec(coeffs=PAPER_PLANT.coeffs, disturbance_variance=snr_to_variance(40.0, power))
-        series, diverged = run_ensemble("rvss-flms", scaled_config(), plant, 600, 40, seed=30)
-        assert diverged == 0
+        [(series, diverged_at)] = run_ensemble("rvss-flms", scaled_config(), [plant], 600, 40, seed=30)
+        assert diverged_at == []
         hits = sum(1 for s in series if np.min(s.squared_error) < 1e-3)
         assert hits >= 0.95 * len(series)
