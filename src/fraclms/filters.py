@@ -166,15 +166,15 @@ def cost(error: float) -> float:
 def tap_dot(a, b):
     """Inner product over the last axis, accumulated in tap order from 0.0.
 
-    Leading axes broadcast, so one call serves a batch of rows.  Every inner
-    product of the simulation goes through here, so each row is
+    All products are formed at once, then their tap columns are added one by
+    one.  Leading axes broadcast, so one call serves a batch of rows.  Every
+    inner product of the simulation goes through here, so each row is
     bit-reproducible against a plain sequential loop in python floats.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    prod = np.asarray(a, dtype=float) * b
     acc = 0.0
-    for i in range(a.shape[-1]):
-        acc = acc + a[..., i] * b[..., i]
+    for i in range(prod.shape[-1]):
+        acc = acc + prod[..., i]
     return acc
 
 

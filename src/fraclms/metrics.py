@@ -49,20 +49,25 @@ class EnsembleReport:
     runs_diverged: int
 
 
-def weight_distance(estimated, truth):
-    """Squared normalized weight distance ||truth - est||**2 / ||truth||**2 over the last axis.
+def weight_distance(truth):
+    """Squared normalized weight distance to truth: est -> ||truth - est||**2 / ||truth||**2.
 
-    estimated and truth have the same shape: one weight vector, or one per row.
+    truth is one weight vector or one per row; its norm is computed and
+    checked once here.  Each estimate must have truth's shape.
     """
     t = np.asarray(truth, dtype=float)
-    e = np.asarray(estimated, dtype=float)
-    if t.shape != e.shape:
-        raise ValueError(f"length mismatch: estimated {e.shape} vs truth {t.shape}")
     tnorm2 = tap_dot(t, t)
     if np.any(tnorm2 == 0.0):
         raise ValueError("truth vector must be nonzero")
-    d = t - e
-    return tap_dot(d, d) / tnorm2
+
+    def ratio(estimated):
+        e = np.asarray(estimated, dtype=float)
+        if e.shape != t.shape:
+            raise ValueError(f"length mismatch: estimated {e.shape} vs truth {t.shape}")
+        d = t - e
+        return tap_dot(d, d) / tnorm2
+
+    return ratio
 
 
 def nwd_db(distance):

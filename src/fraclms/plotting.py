@@ -109,9 +109,11 @@ def plot_curves(curves: Mapping[str, np.ndarray], path, ylabel: str) -> Path:
         f'text-anchor="middle" transform="rotate(-90 16 {MARGIN_T + ph / 2:.2f})">{ylabel}</text>'
     )
 
+    # sx and sy apply elementwise to arrays: the same operations, per point, as on floats
+    xs = ["%.2f" % px for px in sx(np.arange(x_max + 1, dtype=float)).tolist()]
     for idx, (name, curve) in enumerate(curves.items()):
         color = PALETTE[idx % len(PALETTE)]
-        pts = " ".join(f"{sx(i):.2f},{sy(v):.2f}" for i, v in enumerate(curve.tolist()))
+        pts = " ".join(map("%s,%.2f".__mod__, zip(xs, sy(curve).tolist())))
         lines.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
         )

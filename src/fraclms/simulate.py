@@ -232,34 +232,37 @@ def run_identification(
     desired = np.empty((rows, n_samples))
     for s, plant in enumerate(plants):
         desired[s * runs : (s + 1) * runs] = plant_output(windows[s * runs : (s + 1) * runs], plant, z)
-    truth = np.repeat([plant.coeffs for plant in plants], runs, axis=0).astype(float)
+    ratio = weight_distance(np.repeat([plant.coeffs for plant in plants], runs, axis=0))
 
     state = initial_state(cfg, rows)
     e2 = desired  # a step consumes its column of desired; its squared errors then overwrite it
     distance = np.empty((rows, n_samples))
-    diverged_at = np.full(rows, -1)
+    nu = np.empty((rows, n_samples))
+    done = n_samples
     with np.errstate(all="ignore"):
         for n in range(n_samples):
             try:
                 state, err = step_fn(state, windows[:, n], desired[:, n], step_cfg)
             except DivergedError:  # no row is finite any more
-                diverged_at[diverged_at < 0] = n
+                done = n
                 break
-            sq = err * err
-            ratio = weight_distance(state.weights, truth)
-            e2[:, n] = sq
-            distance[:, n] = ratio
-            bad = ~(np.isfinite(sq) & np.isfinite(ratio) & np.isfinite(state.nu)) & (diverged_at < 0)
-            diverged_at[bad] = n
+            e2[:, n] = err * err
+            distance[:, n] = ratio(state.weights)
+            nu[:, n] = state.nu
     del windows, padded  # free the input before the dB conversion allocates
+
+    # a row is masked at its first non-finite sample, else at the break; n_samples: it stayed finite
+    bad = np.ones((rows, done + 1), dtype=bool)
+    bad[:, :done] = ~(np.isfinite(e2[:, :done]) & np.isfinite(distance[:, :done]) & np.isfinite(nu[:, :done]))
+    masked_at = bad.argmax(axis=1)
 
     cells = []
     for s in range(len(plants)):
-        lost = diverged_at[s * runs : (s + 1) * runs]
-        kept = s * runs + np.flatnonzero(lost < 0)
+        lost = masked_at[s * runs : (s + 1) * runs]
+        kept = s * runs + np.flatnonzero(lost == n_samples)
         nwd = nwd_db(distance[kept])
         series = [RunSeries(squared_error=e2[row], nwd_db=curve) for row, curve in zip(kept, nwd)]
-        cells.append((series, sorted(lost[lost >= 0].tolist())))
+        cells.append((series, sorted(lost[lost < n_samples].tolist())))
     return cells
 
 

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, target
 from hypothesis import strategies as st
 
 import scalar_oracle
+from fraclms import simulate
 from fraclms.filters import DivergedError, FilterConfig, FracPowerPolicy, flms_step, initial_state
 from fraclms.simulate import ALGORITHMS, PlantSpec, run_ensemble
 
@@ -101,6 +102,36 @@ def test_partly_diverged_batch_equals_scalar_loop(algorithm, nu):
     cells = assert_rows_match_oracle(algorithm, cfg, plants, 600, 12, seed=12345)
     lost = [len(diverged_at) for _, diverged_at in cells]
     assert all(0 < n < 12 for n in lost), lost
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_all_diverged_batch_masks_live_rows_at_the_break(algorithm, monkeypatch):
+    # noise-free plants with one huge tap at delays 0, 1 and 2: with zero
+    # weights and zero prehistory a row's error is exactly 0 until its
+    # plant's delay, where a step of 1e200 overflows its weights.  Rows of
+    # the first two plants are masked at samples 0 and 1 while other rows
+    # are finite; at sample 2 no row is finite and the step raises.
+    cfg = FilterConfig(
+        tap_count=3, frac_order=0.5, nu_init=1e200, nu_f_init=1e200, nu_min=1e199, nu_max=1e201,
+        alpha=0.5, beta=0.5, gamma=0.5,
+    )
+    plants = [PlantSpec(tuple(1e120 * (i == delay) for i in range(3))) for delay in range(3)]
+    breaks = []
+    step_name = "rvss_flms_step" if algorithm == "rvss-flms" else "flms_step"
+    step_fn = getattr(simulate, step_name)
+
+    def recording_step(*args):
+        try:
+            return step_fn(*args)
+        except DivergedError as exc:
+            breaks.append(exc.iteration)
+            raise
+
+    monkeypatch.setattr(simulate, step_name, recording_step)
+    with np.errstate(all="ignore"):
+        cells = assert_rows_match_oracle(algorithm, cfg, plants, 50, 3, seed=2)
+    assert breaks == [2]
+    assert [diverged_at for _, diverged_at in cells] == [[0, 0, 0], [1, 1, 1], [2, 2, 2]]
 
 
 def test_step_raises_only_when_no_row_is_finite():

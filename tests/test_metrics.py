@@ -22,38 +22,38 @@ TRUTH = np.array([0.9, 0.3, -0.1])
 
 class TestNwdDb:
     def test_perfect_identification_hits_floor(self):
-        assert nwd_db(weight_distance(TRUTH.copy(), TRUTH)) == DB_FLOOR
+        assert nwd_db(weight_distance(TRUTH)(TRUTH.copy())) == DB_FLOOR
 
     def test_zero_estimate_is_zero_db(self):
-        assert nwd_db(weight_distance(np.zeros(3), TRUTH)) == pytest.approx(0.0, abs=1e-12)
+        assert nwd_db(weight_distance(TRUTH)(np.zeros(3))) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_value(self):
         est = np.array([0.9, 0.3, 0.1])
         # 20*log10(0.2 / sqrt(0.91))
-        assert nwd_db(weight_distance(est, TRUTH)) == pytest.approx(-13.5698140099313, abs=1e-10)
+        assert nwd_db(weight_distance(TRUTH)(est)) == pytest.approx(-13.5698140099313, abs=1e-10)
 
     def test_zero_truth_rejected(self):
         with pytest.raises(ValueError):
-            nwd_db(weight_distance(np.ones(2), np.zeros(2)))
+            nwd_db(weight_distance(np.zeros(2))(np.ones(2)))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            nwd_db(weight_distance(np.ones(2), TRUTH))
+            nwd_db(weight_distance(TRUTH)(np.ones(2)))
 
     def test_scale_covariant(self):
         est = np.array([0.7, 0.4, 0.0])
-        base = nwd_db(weight_distance(est, TRUTH))
-        assert nwd_db(weight_distance(2.0 * est, 2.0 * TRUTH)) == base
-        assert nwd_db(weight_distance(-1.7 * est, -1.7 * TRUTH)) == pytest.approx(base, rel=1e-12)
+        base = nwd_db(weight_distance(TRUTH)(est))
+        assert nwd_db(weight_distance(2.0 * TRUTH)(2.0 * est)) == base
+        assert nwd_db(weight_distance(-1.7 * TRUTH)(-1.7 * est)) == pytest.approx(base, rel=1e-12)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(8)
         est = rng.normal(size=5)
         truth = rng.normal(size=5)
-        base = nwd_db(weight_distance(est, truth))
+        base = nwd_db(weight_distance(truth)(est))
         for _ in range(10):
             perm = rng.permutation(5)
-            assert nwd_db(weight_distance(est[perm], truth[perm])) == pytest.approx(base, rel=1e-12)
+            assert nwd_db(weight_distance(truth[perm])(est[perm])) == pytest.approx(base, rel=1e-12)
 
 
 def series(e2, nwd=None):

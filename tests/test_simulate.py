@@ -220,6 +220,13 @@ class TestRunIdentification:
         assert math.isfinite(err) and not math.isfinite(err * err)
         assert single_run("lms", cfg, plant, 10, seed=3) == (None, [0])
 
+    def test_all_zero_plant_raises_instead_of_masking(self):
+        # ||truth|| = 0 makes every distance ratio non-finite, which would
+        # otherwise mask every run as diverged
+        plant = PlantSpec(coeffs=(0.0, 0.0, 0.0), disturbance_variance=0.01)
+        with pytest.raises(ValueError, match="truth vector must be nonzero"):
+            single_run("lms", scaled_config(), plant, 10, seed=0)
+
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
             single_run("amflms", scaled_config(), PAPER_PLANT, 10, seed=0)
