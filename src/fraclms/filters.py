@@ -14,7 +14,9 @@ nu, p and prev_error for one filter, or (rows, K) weights and (rows,)
 arrays for a batch of independent filters advanced together.  The tap
 window x is (K,) or (rows, K), most recent input first.  Every row is
 computed with the same operations in the same order as a single filter,
-so a batch row is bitwise equal to that filter run alone.
+so a batch row is bitwise equal to that filter run alone.  An update is
+pure arithmetic and never checks its result: a diverging row turns
+non-finite, and the caller decides what that means.
 """
 
 from __future__ import annotations
@@ -32,14 +34,9 @@ __all__ = [
     "FracPowerPolicy",
     "FilterConfig",
     "FilterState",
-    "DivergedError",
-    "cost",
     "tap_dot",
     "predict",
-    "integer_gradient",
     "frac_power",
-    "fractional_gradient",
-    "gamma",
     "flms_step",
     "rvss_flms_step",
     "initial_state",
@@ -57,14 +54,6 @@ class FracPowerPolicy(enum.Enum):
 
     SIGNED_MAGNITUDE = "signed_magnitude"
     MAGNITUDE_ONLY = "magnitude_only"
-
-
-class DivergedError(RuntimeError):
-    """An update left no filter of the state with finite weights, error and step size."""
-
-    def __init__(self, iteration: int):
-        self.iteration = iteration
-        super().__init__(f"non-finite filter state at iteration {iteration}")
 
 
 @dataclass(frozen=True)
@@ -115,6 +104,8 @@ class FilterConfig:
             bad.append(f"tap_count must be >= 1, got {self.tap_count}")
         if not 0.0 < self.frac_order < 1.0:
             bad.append(f"frac_order must lie in (0, 1), got {self.frac_order}")
+        if not (math.isfinite(self.nu_f_init) and self.nu_f_init >= 0.0):
+            bad.append(f"nu_f_init must be finite and >= 0, got {self.nu_f_init}")
         if not self.nu_min > 0.0:
             bad.append(f"nu_min must be > 0, got {self.nu_min}")
         if not self.nu_max > self.nu_min:
@@ -144,7 +135,6 @@ class FilterState:
     nu: float | np.ndarray
     p: float | np.ndarray
     prev_error: float | np.ndarray
-    iteration: int = 0
 
 
 def initial_state(cfg: FilterConfig, rows: Optional[int] = None) -> FilterState:
@@ -156,11 +146,6 @@ def initial_state(cfg: FilterConfig, rows: Optional[int] = None) -> FilterState:
     if rows is None:
         return FilterState(np.full(cfg.tap_count, w0), nu, 0.0, 0.0)
     return FilterState(np.full((rows, cfg.tap_count), w0), np.full(rows, nu), np.zeros(rows), np.zeros(rows))
-
-
-def cost(error: float) -> float:
-    """Instantaneous quadratic cost, error**2 / 2."""
-    return 0.5 * error * error
 
 
 def tap_dot(a, b):
@@ -186,11 +171,6 @@ def predict(state: FilterState, x: np.ndarray):
     return tap_dot(w, x)
 
 
-def integer_gradient(error: float, x: np.ndarray) -> np.ndarray:
-    """Gradient of the quadratic cost w.r.t. the weights: -error * x."""
-    return -error * x
-
-
 def frac_power(w, exponent: float, policy: FracPowerPolicy = FracPowerPolicy.SIGNED_MAGNITUDE):
     """Evaluate w**exponent elementwise for exponent in (0, 1) and any real w.
 
@@ -203,38 +183,6 @@ def frac_power(w, exponent: float, policy: FracPowerPolicy = FracPowerPolicy.SIG
     return np.sign(w) * mag
 
 
-def gamma(x: float) -> float:
-    """Euler gamma function on the positive reals.
-
-    Only arguments in (1, 2] are needed by the fractional updates (as
-    gamma(2 - f) with f in (0, 1)); the stdlib implementation is accurate
-    to well beyond 10 significant digits there.
-    """
-    if not x > 0.0:
-        raise ValueError(f"gamma argument must be > 0, got {x}")
-    return math.gamma(x)
-
-
-def fractional_gradient(
-    error: float,
-    x: np.ndarray,
-    state: FilterState,
-    f: float,
-    policy: FracPowerPolicy = FracPowerPolicy.SIGNED_MAGNITUDE,
-) -> np.ndarray:
-    """Fractional-order gradient term: -error * x * w**(1-f) / gamma(2-f)."""
-    if not 0.0 < f < 1.0:
-        raise ValueError(f"fractional order must lie in (0, 1), got {f}")
-    wp = frac_power(state.weights, 1.0 - f, policy)
-    return -error * x * wp / gamma(2.0 - f)
-
-
-def _check_finite(weights: np.ndarray, error, nu, iteration: int) -> None:
-    # a batch goes on while any row is finite; its caller masks the others
-    if not (np.isfinite(error) & np.isfinite(nu) & np.isfinite(weights).all(axis=-1)).any():
-        raise DivergedError(iteration)
-
-
 def flms_step(
     state: FilterState, x: np.ndarray, desired: float, cfg: FilterConfig
 ) -> tuple[FilterState, float]:
@@ -243,17 +191,14 @@ def flms_step(
     w <- w + nu*e*x + nu_f*e*x*w**(1-f)/gamma(2-f).  With nu_f_init = 0
     this is exactly the plain LMS recursion.
 
-    Returns the advanced state and the prediction error of each row; raises
-    :class:`DivergedError` if the update leaves no row finite.
+    Returns the advanced state and the prediction error of each row.
     """
     error = desired - predict(state, x)
     e = error[..., None]
     f = cfg.frac_order
     wp = frac_power(state.weights, 1.0 - f, cfg.frac_power_policy)
-    w = state.weights + (cfg.nu_init * e) * x + (cfg.nu_f_init * e) * x * wp / gamma(2.0 - f)
-    _check_finite(w, error, state.nu, state.iteration)
-    new = FilterState(weights=w, nu=state.nu, p=state.p, prev_error=error, iteration=state.iteration + 1)
-    return new, error
+    w = state.weights + (cfg.nu_init * e) * x + (cfg.nu_f_init * e) * x * wp / math.gamma(2.0 - f)
+    return FilterState(weights=w, nu=state.nu, p=state.p, prev_error=error), error
 
 
 def rvss_flms_step(
@@ -270,6 +215,4 @@ def rvss_flms_step(
     w = state.weights + (state.nu * error)[..., None] * x * (1.0 + wp)
     p = update_correlation(state.p, error, state.prev_error, cfg.alpha)
     nu = update_step_size(state.nu, p, cfg)
-    _check_finite(w, error, nu, state.iteration)
-    new = FilterState(weights=w, nu=nu, p=p, prev_error=error, iteration=state.iteration + 1)
-    return new, error
+    return FilterState(weights=w, nu=nu, p=p, prev_error=error), error

@@ -18,14 +18,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .filters import (
-    DivergedError,
-    FilterConfig,
-    flms_step,
-    initial_state,
-    rvss_flms_step,
-    tap_dot,
-)
+from .filters import FilterConfig, flms_step, initial_state, rvss_flms_step, tap_dot
 from .metrics import nwd_db, weight_distance
 
 __all__ = [
@@ -214,9 +207,10 @@ def run_identification(
     window uses zero prehistory for the first tap_count - 1 samples.
 
     A row is masked at the first sample whose squared error, step size or
-    NWD is not finite.  Returns, per plant, the series of the runs that
-    stayed finite (squared prediction error and NWD after every update) and
-    the sorted sample index at which each other run was masked.
+    NWD is not finite; the loop stops once no row's error is finite.
+    Returns, per plant, the series of the runs that stayed finite (squared
+    prediction error and NWD after every update) and the sorted sample index
+    at which each other run was masked.
     """
     step_fn, step_cfg = _dispatch(algorithm, cfg)
     k = cfg.tap_count
@@ -241,17 +235,16 @@ def run_identification(
     done = n_samples
     with np.errstate(all="ignore"):
         for n in range(n_samples):
-            try:
-                state, err = step_fn(state, windows[:, n], desired[:, n], step_cfg)
-            except DivergedError:  # no row is finite any more
-                done = n
-                break
+            state, err = step_fn(state, windows[:, n], desired[:, n], step_cfg)
             e2[:, n] = err * err
             distance[:, n] = ratio(state.weights)
             nu[:, n] = state.nu
+            if not np.isfinite(err).any():  # every row is masked by now: stop early
+                done = n + 1
+                break
     del windows, padded  # free the input before the dB conversion allocates
 
-    # a row is masked at its first non-finite sample, else at the break; n_samples: it stayed finite
+    # a row is masked at its first non-finite sample; n_samples: it stayed finite
     bad = np.ones((rows, done + 1), dtype=bool)
     bad[:, :done] = ~(np.isfinite(e2[:, :done]) & np.isfinite(distance[:, :done]) & np.isfinite(nu[:, :done]))
     masked_at = bad.argmax(axis=1)

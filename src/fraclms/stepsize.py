@@ -4,26 +4,9 @@ arrays for a batch."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["StepSizeParams", "update_correlation", "update_step_size"]
-
-
-@dataclass(frozen=True)
-class StepSizeParams:
-    """Constants of the step-size recursion.
-
-    Any object with these attributes works where a StepSizeParams is
-    expected; in particular a FilterConfig can be passed directly.
-    """
-
-    alpha: float
-    beta: float
-    gamma: float
-    nu_min: float
-    nu_max: float
+__all__ = ["update_correlation", "update_step_size"]
 
 
 def update_correlation(p_prev, e_now, e_prev, alpha: float):
@@ -31,11 +14,12 @@ def update_correlation(p_prev, e_now, e_prev, alpha: float):
     return alpha * p_prev + (1.0 - alpha) * e_now * e_prev
 
 
-def update_step_size(nu, p, params):
+def update_step_size(nu, p, cfg):
     """Advance the step size, beta*nu + gamma*p**2, clamped to [nu_min, nu_max].
 
-    Boundary values pass through unchanged (closed interval).
+    cfg is the filter's FilterConfig.  Boundary values pass through
+    unchanged (closed interval).
     """
-    raw = params.beta * nu + params.gamma * p * p
+    raw = cfg.beta * nu + cfg.gamma * p * p
     # max/min return one of their operands exactly, and a NaN raw stays NaN
-    return np.minimum(np.maximum(raw, params.nu_min), params.nu_max)
+    return np.minimum(np.maximum(raw, cfg.nu_min), cfg.nu_max)

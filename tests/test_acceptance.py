@@ -3,8 +3,9 @@
 Each criterion prints one PASS/FAIL line (run with `pytest -s` to see them
 for passing tests as well).  Criteria 1-3 run the bundled paper.config
 verbatim and check its results against the bundled reference table;
-criterion 4 is the property suite; criterion 5 replays the frozen
-recurrence transcript.  test_harness_anchor_scaled_steps documents that
+criterion 4 is the property suite, run on the executed update steps
+(gradients and gamma(2 - f) are read off flms_step); criterion 5 replays
+the frozen recurrence transcript.  test_harness_anchor_scaled_steps documents that
 the harness itself lands on the reference MSE levels once the step sizes
 are scaled 60x (see paper-x60.config).
 """
@@ -16,20 +17,9 @@ import pytest
 
 from fraclms.configfile import bundled_path, load, loads
 from fraclms.experiment import read_summary, run_experiment
-from fraclms.filters import (
-    FilterConfig,
-    FilterState,
-    cost,
-    flms_step,
-    fractional_gradient,
-    gamma,
-    initial_state,
-    integer_gradient,
-    predict,
-    rvss_flms_step,
-)
+from fraclms.filters import FilterConfig, FilterState, flms_step, initial_state, predict, rvss_flms_step
 from fraclms.simulate import clean_plant_power, snr_to_variance, stream
-from fraclms.stepsize import StepSizeParams, update_step_size
+from fraclms.stepsize import update_step_size
 
 import transcript_oracle
 
@@ -113,12 +103,25 @@ def test_criterion_3_nwd_levels(paper_grid):
     assert ok, "RVSS-FLMS NWD off reference even after common offset: " + detail
 
 
-def _check_zero_error_fixed_point():
-    cfg = FilterConfig(
+def _filter(**over):
+    base = dict(
         tap_count=3, frac_order=0.5, nu_init=0.01, nu_f_init=0.01,
         nu_min=0.005, nu_max=0.03, alpha=0.5, beta=0.5, gamma=0.5,
     )
-    st = FilterState(np.array([0.4, -0.2, 0.7]), 0.01, 0.2, 0.1, 0)
+    base.update(over)
+    return FilterConfig(**base)
+
+
+def _increment(w, x, d, **over):
+    """w' - w of one flms_step from weights w, with the filter's settings changed by over."""
+    st = FilterState(np.asarray(w, dtype=float), 0.01, 0.0, 0.0)
+    new, _ = flms_step(st, np.asarray(x, dtype=float), d, _filter(tap_count=len(w), **over))
+    return new.weights - st.weights
+
+
+def _check_zero_error_fixed_point():
+    cfg = _filter()
+    st = FilterState(np.array([0.4, -0.2, 0.7]), 0.01, 0.2, 0.1)
     reg = np.array([1.0, -1.0, 1.0])
     d = predict(st, reg)
     for step in (flms_step, rvss_flms_step):
@@ -127,12 +130,9 @@ def _check_zero_error_fixed_point():
 
 
 def _check_lms_degeneracy():
-    cfg = FilterConfig(
-        tap_count=2, frac_order=0.5, nu_init=0.05, nu_f_init=0.0,
-        nu_min=0.01, nu_max=0.1, alpha=0.5, beta=0.5, gamma=0.5,
-    )
+    cfg = _filter(tap_count=2, nu_init=0.05, nu_f_init=0.0, nu_min=0.01, nu_max=0.1)
     rng = np.random.default_rng(101)
-    st = FilterState(np.array([0.2, -0.1]), cfg.nu_init, 0.0, 0.0, 0)
+    st = FilterState(np.array([0.2, -0.1]), cfg.nu_init, 0.0, 0.0)
     w = [0.2, -0.1]
     for _ in range(100):
         x = rng.uniform(-1.5, 1.5, size=2)
@@ -145,46 +145,45 @@ def _check_lms_degeneracy():
 
 
 def _check_gradient_finite_differences():
+    # the gradient of J(w) = (d - w.x)**2 / 2, read off one LMS step as (w - w') / nu
     rng = np.random.default_rng(2024)
     h = 1e-6
     for _ in range(100):
         w = rng.uniform(-2.0, 2.0, size=3)
         x = rng.uniform(-2.0, 2.0, size=3)
         d = float(rng.uniform(-3.0, 3.0))
-        reg = x
-        st = FilterState(w, 0.01, 0.0, 0.0, 0)
-        grad = integer_gradient(d - predict(st, reg), reg)
+        grad = -_increment(w, x, d, nu_init=0.01, nu_f_init=0.0) / 0.01
         for k in range(3):
             wp, wm = w.copy(), w.copy()
             wp[k] += h
             wm[k] -= h
-            jp = cost(d - predict(FilterState(wp, 0.01, 0.0, 0.0, 0), reg))
-            jm = cost(d - predict(FilterState(wm, 0.01, 0.0, 0.0, 0), reg))
+            jp = 0.5 * (d - predict(FilterState(wp, 0.01, 0.0, 0.0), x)) ** 2
+            jm = 0.5 * (d - predict(FilterState(wm, 0.01, 0.0, 0.0), x)) ** 2
             fd = (jp - jm) / (2.0 * h)
             assert abs(fd - grad[k]) <= 1e-6 * max(abs(grad[k]), 0.1)
 
 
 def _check_fractional_consistency():
+    # near f = 1 the fractional term, (FLMS step - LMS step) / nu_f, is the integer one, LMS step / nu
     rng = np.random.default_rng(7)
     f = 1.0 - 1e-8
+    nu = nu_f = 0.01
     for _ in range(50):
         w = rng.uniform(0.1, 3.0, size=3)
         x = rng.uniform(-2.0, 2.0, size=3)
-        e = float(rng.uniform(-2.0, 2.0))
-        reg = x
-        st = FilterState(w, 0.01, 0.0, 0.0, 0)
-        np.testing.assert_allclose(
-            fractional_gradient(e, reg, st, f), integer_gradient(e, reg), rtol=1e-6, atol=1e-12
-        )
+        d = float(rng.uniform(-2.0, 2.0))
+        lms = _increment(w, x, d, frac_order=f, nu_init=nu, nu_f_init=0.0)
+        flms = _increment(w, x, d, frac_order=f, nu_init=nu, nu_f_init=nu_f)
+        np.testing.assert_allclose((flms - lms) / nu_f, lms / nu, rtol=1e-6, atol=1e-12)
 
 
 def _check_step_size_laws():
-    params = StepSizeParams(alpha=0.5, beta=0.5, gamma=0.5, nu_min=1e-4, nu_max=3e-4)
+    cfg = _filter(tap_count=1, nu_init=2e-4, nu_min=1e-4, nu_max=3e-4)
     rng = np.random.default_rng(55)
     for _ in range(300):
-        out = update_step_size(float(rng.uniform(-5, 5)), float(rng.normal(scale=10)), params)
-        assert params.nu_min <= out <= params.nu_max
-    wide = StepSizeParams(alpha=0.5, beta=0.5, gamma=0.5, nu_min=1e-300, nu_max=1.0)
+        out = update_step_size(float(rng.uniform(-5, 5)), float(rng.normal(scale=10)), cfg)
+        assert cfg.nu_min <= out <= cfg.nu_max
+    wide = _filter(tap_count=1, nu_init=0.75, nu_min=1e-300, nu_max=1.0)
     nu = 0.75
     for k in range(1, 30):
         nu = update_step_size(nu, 0.0, wide)
@@ -192,7 +191,9 @@ def _check_step_size_laws():
 
 
 def _check_gamma_identity():
-    assert abs(gamma(1.5) ** 2 - math.pi / 4.0) <= 1e-10 * (math.pi / 4.0)
+    # the fractional term alone moves w = 1 by e*x*w**(1-f)/gamma(2-f) = 1/gamma(1.5)
+    gamma_1_5 = 1.0 / _increment([1.0], [1.0], 2.0, nu_init=0.0, nu_f_init=1.0)[0]
+    assert abs(gamma_1_5**2 - math.pi / 4.0) <= 1e-10 * (math.pi / 4.0)
 
 
 def _check_snr_calibration():

@@ -420,6 +420,13 @@ class TestCli:
         assert cli.main(["run", str(config), "--out", str(tmp_path / "o")]) == 2
         assert "nu_max" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e-3"])
+    def test_bad_nu_f_init_exits_2(self, tmp_path, capsys, value):
+        config = tmp_path / "bad.config"
+        config.write_text(SMALL.replace("nu_f_init = 0.006", f"nu_f_init = {value}"))
+        assert cli.main(["run", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert "nu_f_init" in capsys.readouterr().err
+
     def test_plot_command(self, tmp_path, capsys):
         config = tmp_path / "tiny.config"
         config.write_text(SMALL)

@@ -3,9 +3,20 @@
 import numpy as np
 import pytest
 
-from fraclms.stepsize import StepSizeParams, update_correlation, update_step_size
+from fraclms.filters import FilterConfig
+from fraclms.stepsize import update_correlation, update_step_size
 
-PAPERISH = StepSizeParams(alpha=0.5, beta=0.5, gamma=0.5, nu_min=1e-4, nu_max=3e-4)
+
+def params(**over):
+    base = dict(
+        tap_count=1, frac_order=0.5, nu_init=2e-4, nu_f_init=0.0,
+        nu_min=1e-4, nu_max=3e-4, alpha=0.5, beta=0.5, gamma=0.5,
+    )
+    base.update(over)
+    return FilterConfig(**base)
+
+
+PAPERISH = params()
 
 
 class TestUpdateCorrelation:
@@ -58,22 +69,20 @@ class TestUpdateStepSize:
 
     def test_geometric_decay_law_exact_for_half(self):
         # beta = 0.5 halves exactly; no clamp active with wide bounds
-        params = StepSizeParams(alpha=0.5, beta=0.5, gamma=0.5, nu_min=1e-300, nu_max=1.0)
+        wide = params(nu_init=0.75, nu_min=1e-300, nu_max=1.0)
         nu = 0.75
         for k in range(1, 40):
-            nu = update_step_size(nu, 0.0, params)
+            nu = update_step_size(nu, 0.0, wide)
             assert nu == 0.5**k * 0.75
 
     def test_geometric_decay_law_generic_beta(self):
-        params = StepSizeParams(alpha=0.5, beta=0.7, gamma=0.5, nu_min=1e-300, nu_max=1.0)
+        wide = params(nu_init=0.2, beta=0.7, nu_min=1e-300, nu_max=1.0)
         nu = 0.2
         for k in range(1, 12):
-            nu = update_step_size(nu, 0.0, params)
+            nu = update_step_size(nu, 0.0, wide)
             assert nu == pytest.approx(0.7**k * 0.2, rel=1e-12)
 
     def test_filter_config_works_as_params(self):
-        from fraclms.filters import FilterConfig
-
         cfg = FilterConfig(
             tap_count=1, frac_order=0.5, nu_init=2e-4, nu_f_init=0.0,
             nu_min=1e-4, nu_max=3e-4, alpha=0.5, beta=0.5, gamma=0.5,
