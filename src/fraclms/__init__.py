@@ -4,6 +4,6 @@ plus a seeded Monte-Carlo system-identification benchmark harness."""
 __version__ = "0.1.0"
 
 from .filters import FilterConfig
-from .simulate import PlantSpec, run_identification, stream
+from .simulate import AlgorithmSpec, PlantSpec, run_identification, stream
 
-__all__ = ["__version__", "FilterConfig", "PlantSpec", "run_identification", "stream"]
+__all__ = ["__version__", "AlgorithmSpec", "FilterConfig", "PlantSpec", "run_identification", "stream"]

@@ -122,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override rng_seed")
     p_run.add_argument("--runs", type=int, default=None, help="override monte_carlo_runs")
-    p_run.add_argument("--parallel", type=int, default=1, help="worker processes, at most one per algorithm")
-    p_run.add_argument("--bench", action="store_true", help="print the simulation seconds of each algorithm")
+    p_run.add_argument("--parallel", type=int, default=1, help="worker processes, at most one per batch")
+    p_run.add_argument("--bench", action="store_true", help="print the simulation seconds of each batch")
     p_run.set_defaults(fn=_cmd_run)
 
     p_ver = sub.add_parser("verify", help="check a summary.csv against a reference table")

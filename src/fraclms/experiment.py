@@ -5,7 +5,7 @@ against a reference table.
 
 All files are written with deterministic bytes for a fixed (config, seed),
 except the manifest, which carries a timestamp and the time of each
-algorithm's simulation.
+batch's simulation.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .configfile import ConfigError, dumps, load
 from .metrics import EnsembleReport, build_report
-from .simulate import LABELS, ExperimentConfig, run_ensemble
+from .simulate import LABELS, ExperimentConfig, batches, run_ensemble
 from .plotting import KINDS, emit_plot
 
 __all__ = [
@@ -80,7 +80,8 @@ class ExperimentManifest:
 
     config_text: str
     artifact_paths: dict
-    # wall seconds of each algorithm's simulation, one batch over every SNR and run
+    # wall seconds of each batch's simulation over every SNR and run, keyed
+    # by its algorithm names joined by "+" (e.g. "lms+flms")
     batch_seconds: dict
     # per cell, keyed like artifact_paths["curves"]: the sorted sample index
     # at which each diverged run was dropped
@@ -104,7 +105,7 @@ def _snr_tag(snr: float) -> str:
     return f"{snr:g}dB"
 
 
-def _run_batch(args) -> tuple[str, list, float]:
+def _run_batch(args) -> tuple[tuple, list, float]:
     # a module-level function that looks run_ensemble up per call, so a
     # process pool can pickle it even when run_ensemble has been wrapped
     t0 = time.perf_counter()
@@ -146,10 +147,11 @@ def run_experiment(
     levels) and is left out of the curves and plots.  The files of an
     earlier run that the manifest in out_dir lists are deleted first.
 
-    Each algorithm is simulated as one batch over every SNR and run; with
-    parallel > 1 a process pool runs the batches, at most one worker per
-    algorithm.  The manifest records how long each batch took and when
-    each diverged run was dropped.
+    Algorithms that share a step function, frac_order and frac_power_policy
+    are simulated as one batch over every SNR and run (LMS and FLMS in
+    one, RVSS-FLMS in another); with parallel > 1 a process pool runs the
+    batches, at most one worker per batch.  The manifest records how long
+    each batch took and when each diverged run was dropped.
     """
     if not isinstance(config, ExperimentConfig):
         config = load(config)
@@ -166,23 +168,24 @@ def run_experiment(
 
     plants = [config.plant_at(snr) for snr in config.snr_db_list]
     shared = (plants, config.samples_per_run, config.monte_carlo_runs, config.rng_seed)
-    batches = [(spec.name, spec.filter, *shared) for spec in config.algorithms]
+    jobs = [(group, *shared) for group in batches(config.algorithms)]
     if parallel > 1:
         # a fork-started pool forks every worker at once, so start no more than there are batches
-        with ProcessPoolExecutor(max_workers=min(parallel, len(batches))) as pool:
-            results = list(pool.map(_run_batch, batches))
+        with ProcessPoolExecutor(max_workers=min(parallel, len(jobs))) as pool:
+            results = list(pool.map(_run_batch, jobs))
     else:
         # lazily, so that each batch's runs are freed once reduced to reports below
-        results = map(_run_batch, batches)
+        results = map(_run_batch, jobs)
 
     reports: dict[tuple[str, float], EnsembleReport] = {}
     batch_seconds, diverged_at = {}, {}
-    for name, cells, seconds in results:
-        batch_seconds[name] = seconds
-        for snr, (series, lost) in zip(config.snr_db_list, cells):
-            diverged_at[f"{name}@{_snr_tag(snr)}"] = lost
-            reports[(name, snr)] = build_report(series, runs_diverged=len(lost))
-        del cells, series  # free this batch's runs before the next one runs
+    for group, cells, seconds in results:
+        batch_seconds["+".join(spec.name for spec in group)] = seconds
+        for spec, per_snr in zip(group, cells):
+            for snr, (series, lost) in zip(config.snr_db_list, per_snr):
+                diverged_at[f"{spec.name}@{_snr_tag(snr)}"] = lost
+                reports[(spec.name, snr)] = build_report(series, runs_diverged=len(lost))
+        del cells, per_snr, series  # free this batch's runs before the next one runs
 
     _remove_previous_run(out)
     artifact_paths: dict = {"curves": {}, "plots": {}, "summary": "summary.csv"}

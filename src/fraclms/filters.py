@@ -24,7 +24,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -110,14 +109,16 @@ class FilterConfig:
             bad.append(f"nu_min must be > 0, got {self.nu_min}")
         if not self.nu_max > self.nu_min:
             bad.append(f"nu_max must exceed nu_min, got nu_max={self.nu_max} <= nu_min={self.nu_min}")
+        elif not math.isfinite(self.nu_max):
+            bad.append(f"nu_max must be finite, got {self.nu_max}")
         elif not self.nu_min <= self.nu_init <= self.nu_max:
             bad.append(f"nu_init must lie in [nu_min, nu_max], got {self.nu_init}")
         if not 0.0 < self.alpha < 1.0:
             bad.append(f"alpha must lie in (0, 1), got {self.alpha}")
         if not 0.0 < self.beta < 1.0:
             bad.append(f"beta must lie in (0, 1), got {self.beta}")
-        if not self.gamma > 0.0:
-            bad.append(f"gamma must be > 0, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
+            bad.append(f"gamma must be finite and > 0, got {self.gamma}")
         if not math.isfinite(self.weight_init):
             bad.append(f"weight_init must be finite, got {self.weight_init}")
         return bad
@@ -137,15 +138,9 @@ class FilterState:
     prev_error: float | np.ndarray
 
 
-def initial_state(cfg: FilterConfig, rows: Optional[int] = None) -> FilterState:
-    """Fresh state: all weights at weight_init, nu at nu_init, no history.
-
-    With rows, a batch of that many identical filters.
-    """
-    w0, nu = float(cfg.weight_init), float(cfg.nu_init)
-    if rows is None:
-        return FilterState(np.full(cfg.tap_count, w0), nu, 0.0, 0.0)
-    return FilterState(np.full((rows, cfg.tap_count), w0), np.full(rows, nu), np.zeros(rows), np.zeros(rows))
+def initial_state(cfg: FilterConfig) -> FilterState:
+    """Fresh state of one filter: all weights at weight_init, nu at nu_init, no history."""
+    return FilterState(np.full(cfg.tap_count, float(cfg.weight_init)), float(cfg.nu_init), 0.0, 0.0)
 
 
 def tap_dot(a, b):
@@ -189,7 +184,9 @@ def flms_step(
     """One FLMS update with constant step sizes nu_init and nu_f_init.
 
     w <- w + nu*e*x + nu_f*e*x*w**(1-f)/gamma(2-f).  With nu_f_init = 0
-    this is exactly the plain LMS recursion.
+    this is exactly the plain LMS recursion.  In a batch, cfg.nu_init and
+    cfg.nu_f_init may be (rows, 1) columns, one step size per row; f stays
+    one scalar.
 
     Returns the advanced state and the prediction error of each row.
     """

@@ -1,7 +1,8 @@
 """
 System-identification simulation: BPSK excitation, FIR plant with additive
 Gaussian disturbance, and the identification loop, which advances every
-run of an algorithm against every plant as one batch of rows.
+run of a batch of algorithms against every plant as one batch of rows:
+LMS and FLMS in one, RVSS-FLMS in another.
 
 Randomness is organized as named streams: every (run index, role) pair gets
 an independent generator derived from (seed, run, role), so Monte-Carlo
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .filters import FilterConfig, flms_step, initial_state, rvss_flms_step, tap_dot
+from .filters import FilterConfig, FilterState, flms_step, rvss_flms_step, tap_dot
 from .metrics import nwd_db, weight_distance
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "clean_plant_power",
     "snr_to_variance",
     "plant_output",
+    "batches",
     "run_identification",
     "run_ensemble",
 ]
@@ -180,55 +182,96 @@ def plant_output(x: np.ndarray, spec: PlantSpec, z):
     return tap_dot(spec.coeffs, x) + z * math.sqrt(spec.disturbance_variance)
 
 
-def _dispatch(algorithm: str, cfg: FilterConfig):
-    if algorithm == "lms":
+def _dispatch(spec: AlgorithmSpec):
+    """The step function of an algorithm and the config it steps with."""
+    if spec.name == "lms":
         # plain LMS is the fractional update with the fractional term off
-        return flms_step, replace(cfg, nu_f_init=0.0)
-    if algorithm == "flms":
-        return flms_step, cfg
-    if algorithm == "rvss-flms":
-        return rvss_flms_step, cfg
-    raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+        return flms_step, replace(spec.filter, nu_f_init=0.0)
+    if spec.name == "flms":
+        return flms_step, spec.filter
+    if spec.name == "rvss-flms":
+        return rvss_flms_step, spec.filter
+    raise ValueError(f"unknown algorithm {spec.name!r}; expected one of {ALGORITHMS}")
+
+
+def _batch_key(spec: AlgorithmSpec):
+    # what one step call shares across its rows.  The exponent stays a
+    # scalar: numpy's a ** 0.5 is sqrt, which an array exponent is not.
+    # rvss-flms is the one algorithm on rvss_flms_step, so its batch never
+    # holds a second set of step-size constants.
+    step_fn, cfg = _dispatch(spec)
+    return step_fn, cfg.frac_order, cfg.frac_power_policy
+
+
+def batches(algorithms: Sequence[AlgorithmSpec]) -> list[tuple[AlgorithmSpec, ...]]:
+    """Split algorithms into the batches that one step call each can advance.
+
+    Algorithms with the same step function, frac_order and
+    frac_power_policy share a batch: LMS and FLMS by default, with
+    RVSS-FLMS on its own.  Batches and their members keep config order.
+    """
+    grouped: dict = {}
+    for spec in algorithms:
+        grouped.setdefault(_batch_key(spec), []).append(spec)
+    return [tuple(group) for group in grouped.values()]
 
 
 def run_identification(
-    algorithm: str,
-    cfg: FilterConfig,
+    algorithms: Sequence[AlgorithmSpec],
     plants: Sequence[PlantSpec],
     x: np.ndarray,
     z: np.ndarray,
-) -> list[tuple[list[RunSeries], list[int]]]:
+) -> list[list[tuple[list[RunSeries], list[int]]]]:
     """Drive a batch of filters through the identification loop together.
 
-    x and z are (R, N): the BPSK input and the standard-normal disturbance
-    draws of R runs.  Every plant reuses them, scaled by its own
-    sqrt(disturbance_variance), so the batch has one row per (plant, run),
-    plant-major: row s*R + r is run r against plants[s].  The regressor
-    window uses zero prehistory for the first tap_count - 1 samples.
+    algorithms is one batch of :func:`batches`.  x and z are (R, N): the
+    BPSK input and the standard-normal disturbance draws of R runs.  Every
+    algorithm and plant reuses them, the plant scaling the disturbance by
+    its own sqrt(disturbance_variance), so the batch has one row per
+    (algorithm, plant, run), algorithm-major: row (a*S + s)*R + r is run r
+    of algorithms[a] against plants[s].  Each row steps with its own
+    algorithm's nu_init, nu_f_init and weight_init.  The regressor window
+    uses zero prehistory for the first tap_count - 1 samples.
 
     A row is masked at the first sample whose squared error, step size or
     NWD is not finite; the loop stops once no row's error is finite.
-    Returns, per plant, the series of the runs that stayed finite (squared
-    prediction error and NWD after every update) and the sorted sample index
-    at which each other run was masked.
+    Returns, per algorithm and then per plant, the series of the runs that
+    stayed finite (squared prediction error and NWD after every update)
+    and the sorted sample index at which each other run was masked.
     """
-    step_fn, step_cfg = _dispatch(algorithm, cfg)
-    k = cfg.tap_count
+    keys = {(_batch_key(spec), spec.filter.tap_count) for spec in algorithms}
+    if len(keys) != 1:
+        raise ValueError("a batch's algorithms must share step function, frac_order, policy and tap_count")
+    if len({spec.name for spec in algorithms}) != len(algorithms):
+        raise ValueError(f"an algorithm is listed twice in {[spec.name for spec in algorithms]}")
+    (step_fn, _, _), k = keys.pop()
     for plant in plants:
         if len(plant.coeffs) != k:
             raise ValueError(f"tap_count {k} does not match plant order {len(plant.coeffs)}")
+    configs = [_dispatch(spec)[1] for spec in algorithms]
     runs, n_samples = x.shape
-    rows = len(plants) * runs
+    block = len(plants) * runs  # the rows of one algorithm
+    rows = len(algorithms) * block
 
-    padded = np.zeros((len(plants), runs, k - 1 + n_samples))
-    padded[:, :, k - 1 :] = x
-    windows = sliding_window_view(padded.reshape(rows, -1), k, axis=1)[..., ::-1]  # (rows, N, K), newest first
+    def column(field):  # one value per algorithm -> its (rows, 1) column
+        return np.repeat(np.array([getattr(cfg, field) for cfg in configs], dtype=float), block)[:, None]
+
+    step_cfg = replace(configs[0], nu_init=column("nu_init"), nu_f_init=column("nu_f_init"))
+
+    padded = np.zeros((rows, k - 1 + n_samples))
+    padded.reshape(len(algorithms), len(plants), runs, -1)[..., k - 1 :] = x
+    windows = sliding_window_view(padded, k, axis=1)[..., ::-1]  # (rows, N, K), newest first
     desired = np.empty((rows, n_samples))
     for s, plant in enumerate(plants):
         desired[s * runs : (s + 1) * runs] = plant_output(windows[s * runs : (s + 1) * runs], plant, z)
-    ratio = weight_distance(np.repeat([plant.coeffs for plant in plants], runs, axis=0))
+    # every algorithm sees the same desired signal and plant
+    desired.reshape(len(algorithms), block, n_samples)[1:] = desired[:block]
+    truth = np.repeat([plant.coeffs for plant in plants], runs, axis=0)
+    ratio = weight_distance(np.tile(truth, (len(algorithms), 1)))
 
-    state = initial_state(cfg, rows)
+    state = FilterState(
+        np.repeat(column("weight_init"), k, axis=1), column("nu_init")[:, 0], np.zeros(rows), np.zeros(rows)
+    )
     e2 = desired  # a step consumes its column of desired; its squared errors then overwrite it
     distance = np.empty((rows, n_samples))
     nu = np.empty((rows, n_samples))
@@ -249,35 +292,35 @@ def run_identification(
     bad[:, :done] = ~(np.isfinite(e2[:, :done]) & np.isfinite(distance[:, :done]) & np.isfinite(nu[:, :done]))
     masked_at = bad.argmax(axis=1)
 
-    cells = []
-    for s in range(len(plants)):
-        lost = masked_at[s * runs : (s + 1) * runs]
-        kept = s * runs + np.flatnonzero(lost == n_samples)
+    cells = [[] for _ in algorithms]
+    for first in range(0, rows, runs):  # one (algorithm, plant) cell per block of runs
+        lost = masked_at[first : first + runs]
+        kept = first + np.flatnonzero(lost == n_samples)
         nwd = nwd_db(distance[kept])
         series = [RunSeries(squared_error=e2[row], nwd_db=curve) for row, curve in zip(kept, nwd)]
-        cells.append((series, sorted(lost[lost < n_samples].tolist())))
+        cells[first // block].append((series, sorted(lost[lost < n_samples].tolist())))
     return cells
 
 
 def run_ensemble(
-    algorithm: str,
-    cfg: FilterConfig,
+    algorithms: Sequence[AlgorithmSpec],
     plants: Sequence[PlantSpec],
     n_samples: int,
     monte_carlo_runs: int,
     seed: int,
-) -> list[tuple[list[RunSeries], list[int]]]:
-    """Execute an ensemble of independent runs against every plant, as one batch.
+) -> list[list[tuple[list[RunSeries], list[int]]]]:
+    """Execute an ensemble of independent runs of a batch of algorithms against every plant.
 
     Every run r draws its input and disturbance from streams derived from
     (seed, r, role) regardless of algorithm and plant, so different
     algorithms see identical signals.  Returns what
-    :func:`run_identification` returns: per plant, the runs that stayed
-    finite and the sample index at which each other run diverged.
+    :func:`run_identification` returns: per algorithm and plant, the runs
+    that stayed finite and the sample index at which each other run
+    diverged.
     """
     x = np.empty((monte_carlo_runs, n_samples))
     z = np.empty((monte_carlo_runs, n_samples))
     for r in range(monte_carlo_runs):
         x[r] = bpsk_sequence(n_samples, stream(seed, r, ROLE_INPUT))
         z[r] = stream(seed, r, ROLE_DISTURBANCE).standard_normal(n_samples)
-    return run_identification(algorithm, cfg, plants, x, z)
+    return run_identification(algorithms, plants, x, z)

@@ -140,7 +140,7 @@ class TestRunExperiment:
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
         run_experiment(loads(SMALL), tmp_path / "many", runs=1, parallel=64)
         run_experiment(loads(SMALL), tmp_path / "two", runs=1, parallel=2)
-        assert requested == [3, 2]
+        assert requested == [2, 2]
 
     def test_rerun_unlinks_only_plain_names_inside_out(self, tmp_path):
         out = tmp_path / "out"
@@ -164,7 +164,7 @@ class TestRunExperiment:
         for path in (out, tmp_path / "pool"):
             manifest = json.loads((path / "manifest.json").read_text())
             seconds = manifest["batch_seconds"]
-            assert set(seconds) == {"lms", "flms", "rvss-flms"}
+            assert sorted(seconds) == ["lms+flms", "rvss-flms"]
             assert all(np.isfinite(s) and s > 0 for s in seconds.values())
             assert manifest["diverged_at"] == {cell: [] for cell in cells}
 
@@ -427,6 +427,25 @@ class TestCli:
         assert cli.main(["run", str(config), "--out", str(tmp_path / "o")]) == 2
         assert "nu_f_init" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, edits",
+        [
+            ("nu_max", {"nu_max = 0.018": "nu_max = inf"}),
+            ("nu_max", {"nu_max = 0.018": "nu_max = inf", "nu_init = 0.006\n": "nu_init = inf\n"}),
+            ("gamma", {"gamma = 0.5": "gamma = inf"}),
+        ],
+    )
+    def test_infinite_step_size_constant_exits_2(self, tmp_path, capsys, key, edits):
+        text = SMALL
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        config = tmp_path / "bad.config"
+        config.write_text(text)
+        out = tmp_path / "o"
+        assert cli.main(["run", str(config), "--out", str(out)]) == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_plot_command(self, tmp_path, capsys):
         config = tmp_path / "tiny.config"
         config.write_text(SMALL)
@@ -478,9 +497,9 @@ class TestCli:
         assert cli.main(["run", str(config), "--out", str(out), "--bench"]) == 1
         printed = capsys.readouterr().out.splitlines()
         bench = [line.split()[1] for line in printed if line.startswith("bench:")]
-        assert bench == ["lms", "flms"]
+        assert bench == ["lms+flms"]
         manifest = json.loads((out / "manifest.json").read_text())
-        assert sorted(manifest["batch_seconds"]) == ["flms", "lms"]
+        assert sorted(manifest["batch_seconds"]) == ["lms+flms"]
         diverged_at = manifest["diverged_at"]
         assert sorted(diverged_at) == ["flms@10dB", "flms@30dB", "lms@10dB", "lms@30dB"]
         assert diverged_at["flms@10dB"] == diverged_at["flms@30dB"] == []

@@ -341,6 +341,19 @@ class TestFilterConfigValidation:
         assert any("nu_f_init" in m for m in make_config(nu_f_init=nu_f).violations())
 
 
+    @pytest.mark.parametrize(
+        "over, key",
+        [
+            (dict(nu_max=math.inf), "nu_max"),
+            (dict(nu_max=math.inf, nu_init=math.inf), "nu_max"),
+            (dict(gamma=math.inf), "gamma"),
+            (dict(gamma=math.nan), "gamma"),
+        ],
+    )
+    def test_step_size_constants_must_be_finite(self, over, key):
+        assert any(m.startswith(f"{key} must be finite") for m in make_config(**over).violations())
+
+
 def test_initial_state():
     cfg = make_config(weight_init=1e-20)
     st = initial_state(cfg)

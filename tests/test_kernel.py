@@ -1,12 +1,16 @@
 """The batch kernel against the frozen per-sample loop, row by row, bit for bit.
 
-run_ensemble advances every (plant, run) row of an algorithm together;
-scalar_oracle runs the same runs one at a time the way the simulation did
-before the kernel.  Squared errors and NWD curves must be array_equal, the
-same runs must survive, and each diverged run must be dropped at the
-sample where the loop raised.  The steps themselves never raise: the
-kernel masks each row at its first non-finite sample.
+run_ensemble advances every (algorithm, plant, run) row of a batch of
+algorithms together; scalar_oracle runs the same runs one algorithm and
+one run at a time the way the simulation did before the kernel.  Squared
+errors and NWD curves must be array_equal, the same runs must survive,
+and each diverged run must be dropped at the sample where the loop
+raised.  The steps themselves never raise: the kernel masks each row at
+its first non-finite sample.
 """
+
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,11 +18,16 @@ from hypothesis import HealthCheck, given, settings, target
 from hypothesis import strategies as st
 
 import scalar_oracle
-from fraclms import simulate
-from fraclms.filters import FilterConfig, FracPowerPolicy, flms_step, initial_state
-from fraclms.simulate import ALGORITHMS, PlantSpec, run_ensemble
+from fraclms import experiment, simulate
+from fraclms.filters import FilterConfig, FilterState, FracPowerPolicy, flms_step, initial_state
+from fraclms.simulate import ALGORITHMS, AlgorithmSpec, ExperimentConfig, PlantSpec, run_ensemble
 
 unit = st.floats(0.05, 0.95)
+
+# traced peak of one merged LMS+FLMS batch, in (rows, N) float arrays:
+# 4.57 measured with numpy 2.4; with the (rows, N, K) tap windows copied
+# out of their strided view it reads 7.56
+MEMORY_ROW_ARRAYS = 5.5
 
 
 @st.composite
@@ -57,9 +66,20 @@ def experiments(draw):
             max_size=3,
         )
     )
+    # one algorithm alone, or LMS and FLMS merged into one batch, each
+    # with its own nu_init, nu_f_init and weight_init
+    names = draw(st.sampled_from([(name,) for name in ALGORITHMS] + [("lms", "flms"), ("flms", "lms")]))
+    algorithms = [AlgorithmSpec(names[0], cfg)]
+    for name in names[1:]:
+        own = replace(
+            cfg,
+            nu_init=draw(st.floats(nu_min, nu_max)),
+            nu_f_init=draw(st.floats(0.0, 3.0)) / taps,
+            weight_init=draw(st.sampled_from((0.0, 1e-20, -0.3, 0.7))),
+        )
+        algorithms.append(AlgorithmSpec(name, own))
     return dict(
-        algorithm=draw(st.sampled_from(ALGORITHMS)),
-        cfg=cfg,
+        algorithms=algorithms,
         plants=plants,
         n_samples=draw(st.integers(1, 150)),
         monte_carlo_runs=draw(st.integers(1, 4)),
@@ -67,19 +87,22 @@ def experiments(draw):
     )
 
 
-def assert_rows_match_oracle(algorithm, cfg, plants, n_samples, monte_carlo_runs, seed):
-    cells = run_ensemble(algorithm, cfg, plants, n_samples, monte_carlo_runs, seed)
-    assert len(cells) == len(plants)
-    for plant, (series, diverged_at) in zip(plants, cells):
-        ref_series, ref_diverged_at = scalar_oracle.run_ensemble(
-            algorithm, cfg, plant, n_samples, monte_carlo_runs, seed
-        )
-        assert diverged_at == sorted(ref_diverged_at)
-        # the survivors come in run order; distinct streams give every run its own curve
-        assert len(series) == len(ref_series)
-        for got, ref in zip(series, ref_series):
-            assert np.array_equal(got.squared_error, ref.squared_error)
-            assert np.array_equal(got.nwd_db, ref.nwd_db)
+def assert_rows_match_oracle(algorithms, plants, n_samples, monte_carlo_runs, seed):
+    """Check one batch against the oracle; return its (series, diverged_at) cells, algorithm-major."""
+    cells = run_ensemble(algorithms, plants, n_samples, monte_carlo_runs, seed)
+    assert len(cells) == len(algorithms)
+    for spec, per_plant in zip(algorithms, cells):
+        assert len(per_plant) == len(plants)
+        for plant, (series, diverged_at) in zip(plants, per_plant):
+            ref_series, ref_diverged_at = scalar_oracle.run_ensemble(
+                spec.name, spec.filter, plant, n_samples, monte_carlo_runs, seed
+            )
+            assert diverged_at == sorted(ref_diverged_at)
+            # the survivors come in run order; distinct streams give every run its own curve
+            assert len(series) == len(ref_series)
+            for got, ref in zip(series, ref_series):
+                assert np.array_equal(got.squared_error, ref.squared_error)
+                assert np.array_equal(got.nwd_db, ref.nwd_db)
     return cells
 
 
@@ -89,7 +112,7 @@ def test_kernel_rows_equal_scalar_loop(experiment):
     cells = assert_rows_match_oracle(**experiment)
     # steer the search towards batches in which only some runs of a plant diverge
     runs = experiment["monte_carlo_runs"]
-    target(float(sum(0 < len(diverged_at) < runs for _, diverged_at in cells)))
+    target(float(sum(0 < len(diverged_at) < runs for per_plant in cells for _, diverged_at in per_plant)))
 
 
 @pytest.mark.parametrize("algorithm, nu", [("lms", 1.35), ("flms", 0.34), ("rvss-flms", 0.34)])
@@ -100,9 +123,63 @@ def test_partly_diverged_batch_equals_scalar_loop(algorithm, nu):
         alpha=0.5, beta=0.5, gamma=0.5, weight_init=1e-20,
     )
     plants = [PlantSpec((0.9, 0.3, -0.1), 0.143), PlantSpec((0.9, 0.3, -0.1), 0.091)]
-    cells = assert_rows_match_oracle(algorithm, cfg, plants, 600, 12, seed=12345)
+    [cells] = assert_rows_match_oracle([AlgorithmSpec(algorithm, cfg)], plants, 600, 12, seed=12345)
     lost = [len(diverged_at) for _, diverged_at in cells]
     assert all(0 < n < 12 for n in lost), lost
+
+
+# LMS near its stability edge with its own constants; FLMS and RVSS-FLMS share theirs
+EDGE = FilterConfig(
+    tap_count=3, frac_order=0.5, nu_init=0.34, nu_f_init=0.34, nu_min=0.34, nu_max=0.44,
+    alpha=0.5, beta=0.5, gamma=0.5, weight_init=1e-20,
+)
+EDGE_LMS = replace(EDGE, nu_init=1.35, nu_f_init=1.35, nu_min=1.35, nu_max=1.55, weight_init=-0.3)
+
+
+@pytest.mark.parametrize(
+    "lms_order, batched",
+    [(0.5, [("lms", "flms"), ("rvss-flms",)]), (0.75, [("lms",), ("flms",), ("rvss-flms",)])],
+)
+def test_frac_order_override_splits_the_batch(lms_order, batched, tmp_path, monkeypatch):
+    # the exponent 1 - f stays a scalar of its step call, so an LMS of its
+    # own frac_order steps in a batch of its own
+    algorithms = [
+        AlgorithmSpec("lms", replace(EDGE_LMS, frac_order=lms_order)),
+        AlgorithmSpec("flms", EDGE),
+        AlgorithmSpec("rvss-flms", EDGE),
+    ]
+    config = ExperimentConfig(PlantSpec((0.9, 0.3, -0.1)), (8.0, 10.0), 600, 6, 12345, tuple(algorithms))
+    kernel = simulate.run_identification
+    steps = []
+
+    def counting_kernel(group, *args):
+        steps.append(tuple(spec.name for spec in group))
+        return kernel(group, *args)
+
+    monkeypatch.setattr(simulate, "run_identification", counting_kernel)
+    monkeypatch.setattr(experiment, "run_ensemble", assert_rows_match_oracle)
+    manifest = experiment.run_experiment(config, tmp_path)
+    assert steps == batched
+    assert list(manifest.batch_seconds) == ["+".join(names) for names in batched]
+    assert any(manifest.diverged_at[f"lms@{snr}"] for snr in ("8dB", "10dB"))
+
+
+def test_merged_batch_memory_is_a_few_row_arrays():
+    # The kernel keeps about four (rows, N) float arrays: the padded input,
+    # desired turned squared error, the weight distance and nu.  A (rows,
+    # N, K) copy of the tap windows, or a weight history, adds K more.
+    algorithms = [AlgorithmSpec("lms", EDGE_LMS), AlgorithmSpec("flms", EDGE)]
+    plants = [PlantSpec((0.9, 0.3, -0.1), 0.143), PlantSpec((0.9, 0.3, -0.1), 0.091)]
+    n_samples, runs = 600, 40
+    run_ensemble(algorithms, plants, n_samples, runs, seed=12345)  # warm up numpy's caches
+    tracemalloc.start()
+    try:
+        run_ensemble(algorithms, plants, n_samples, runs, seed=12345)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row_array = len(algorithms) * len(plants) * runs * n_samples * 8
+    assert peak < MEMORY_ROW_ARRAYS * row_array, peak / row_array
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -128,7 +205,7 @@ def test_all_diverged_batch_masks_live_rows_at_the_break(algorithm, monkeypatch)
 
     monkeypatch.setattr(simulate, step_name, counting_step)
     with np.errstate(all="ignore"):
-        cells = assert_rows_match_oracle(algorithm, cfg, plants, 50, 3, seed=2)
+        [cells] = assert_rows_match_oracle([AlgorithmSpec(algorithm, cfg)], plants, 50, 3, seed=2)
     assert len(calls) == 4
     assert [diverged_at for _, diverged_at in cells] == [[0, 0, 0], [1, 1, 1], [2, 2, 2]]
 
@@ -138,7 +215,7 @@ def test_step_never_raises_and_rows_stay_independent():
         tap_count=1, frac_order=0.5, nu_init=1.0, nu_f_init=0.0, nu_min=0.5, nu_max=2.0,
         alpha=0.5, beta=0.5, gamma=0.5,
     )
-    state = initial_state(cfg, rows=2)
+    state = FilterState(np.zeros((2, 1)), np.ones(2), np.zeros(2), np.zeros(2))
     state.weights[:, 0] = 1e200, 0.3
     alone = initial_state(cfg)
     alone.weights[0] = 0.3

@@ -9,6 +9,7 @@ from fraclms.filters import FilterConfig, flms_step, initial_state, rvss_flms_st
 from fraclms.simulate import (
     ROLE_DISTURBANCE,
     ROLE_INPUT,
+    AlgorithmSpec,
     PlantSpec,
     bpsk_sequence,
     clean_plant_power,
@@ -30,7 +31,7 @@ def single_run(algorithm, cfg, plant, n, seed, run=0):
     """
     x = bpsk_sequence(n, stream(seed, run, ROLE_INPUT))[None]
     z = stream(seed, run, ROLE_DISTURBANCE).standard_normal(n)[None]
-    [(series, diverged_at)] = run_identification(algorithm, cfg, [plant], x, z)
+    [[(series, diverged_at)]] = run_identification([AlgorithmSpec(algorithm, cfg)], [plant], x, z)
     return (series[0] if series else None), diverged_at
 
 
@@ -236,6 +237,21 @@ class TestRunIdentification:
         with pytest.raises(ValueError, match="plant order"):
             single_run("lms", scaled_config(tap_count=4), PAPER_PLANT, 10, seed=0)
 
+    @pytest.mark.parametrize(
+        "names, over, match",
+        [
+            (("lms", "rvss-flms"), {}, "must share"),
+            (("lms", "flms"), dict(frac_order=0.75), "must share"),
+            (("lms", "flms"), dict(tap_count=4), "must share"),
+            (("flms", "flms"), {}, "listed twice"),
+        ],
+    )
+    def test_batch_of_algorithms_that_cannot_share_a_step_raises(self, names, over, match):
+        batch = [AlgorithmSpec(names[0], scaled_config()), AlgorithmSpec(names[1], scaled_config(**over))]
+        x, z = np.ones((1, 10)), np.zeros((1, 10))
+        with pytest.raises(ValueError, match=match):
+            run_identification(batch, [PAPER_PLANT], x, z)
+
 
 class TestRunEnsemble:
     def test_common_random_numbers_across_algorithms(self):
@@ -245,14 +261,14 @@ class TestRunEnsemble:
         cfg = scaled_config()
         first = {}
         for algo in ("lms", "flms", "rvss-flms"):
-            [(series, _)] = run_ensemble(algo, cfg, [plant], 1, 3, seed=77)
+            [[(series, _)]] = run_ensemble([AlgorithmSpec(algo, cfg)], [plant], 1, 3, seed=77)
             first[algo] = [s.squared_error[0] for s in series]
         assert first["lms"] == first["flms"] == first["rvss-flms"]
 
     def test_diverged_runs_counted_and_excluded(self):
         cfg = scaled_config(nu_init=2.0, nu_f_init=0.0, nu_min=0.1, nu_max=3.0)
         plant = PlantSpec(coeffs=PAPER_PLANT.coeffs, disturbance_variance=0.0)
-        [(series, diverged_at)] = run_ensemble("lms", cfg, [plant], 600, 4, seed=12)
+        [[(series, diverged_at)]] = run_ensemble([AlgorithmSpec("lms", cfg)], [plant], 600, 4, seed=12)
         assert len(diverged_at) == 4
         assert series == []
 
@@ -261,7 +277,8 @@ class TestRunEnsemble:
         # run for nearly every ensemble member
         power = clean_plant_power(PAPER_PLANT.coeffs)
         plant = PlantSpec(coeffs=PAPER_PLANT.coeffs, disturbance_variance=snr_to_variance(40.0, power))
-        [(series, diverged_at)] = run_ensemble("rvss-flms", scaled_config(), [plant], 600, 40, seed=30)
+        rvss = AlgorithmSpec("rvss-flms", scaled_config())
+        [[(series, diverged_at)]] = run_ensemble([rvss], [plant], 600, 40, seed=30)
         assert diverged_at == []
         hits = sum(1 for s in series if np.min(s.squared_error) < 1e-3)
         assert hits >= 0.95 * len(series)
