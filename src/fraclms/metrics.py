@@ -53,7 +53,9 @@ def weight_distance(truth):
     """Squared normalized weight distance to truth: est -> ||truth - est||**2 / ||truth||**2.
 
     truth is one weight vector or one per row; its norm is computed and
-    checked once here.  Each estimate must have truth's shape.
+    checked once here.  An estimate has truth's shape, or leading axes
+    before it: a (C, rows, K) stack of estimates gives (C, rows) ratios,
+    each bitwise equal to the ratio of its own slice.
     """
     t = np.asarray(truth, dtype=float)
     tnorm2 = tap_dot(t, t)
@@ -62,7 +64,7 @@ def weight_distance(truth):
 
     def ratio(estimated):
         e = np.asarray(estimated, dtype=float)
-        if e.shape != t.shape:
+        if e.shape[e.ndim - t.ndim :] != t.shape:
             raise ValueError(f"length mismatch: estimated {e.shape} vs truth {t.shape}")
         d = t - e
         return tap_dot(d, d) / tnorm2
@@ -75,11 +77,16 @@ def nwd_db(distance):
 
     Converts each squared distance ratio of :func:`weight_distance` (any
     shape) with math.log10: np.log10 is 1 ulp off it on a few percent of
-    inputs, which would change the curves.
+    inputs, which would change the curves.  A negative ratio raises
+    ValueError.  A memoryview of the flat ratios hands math.log10 python
+    floats without a list of them.
     """
     d = np.asarray(distance, dtype=float)
-    db = np.fromiter((10.0 * math.log10(r) if r else DB_FLOOR for r in d.flat), float, d.size)
-    return np.maximum(db.reshape(d.shape), DB_FLOOR)
+    zero = d == 0.0
+    db = np.fromiter(map(math.log10, memoryview(np.where(zero, 1.0, d).ravel())), float, d.size).reshape(d.shape)
+    db *= 10.0
+    db[zero] = DB_FLOOR
+    return np.maximum(db, DB_FLOOR)
 
 
 def _ensemble_mean(curves: Sequence[np.ndarray]) -> np.ndarray:

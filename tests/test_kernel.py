@@ -25,8 +25,9 @@ from fraclms.simulate import ALGORITHMS, AlgorithmSpec, ExperimentConfig, PlantS
 unit = st.floats(0.05, 0.95)
 
 # traced peak of one merged LMS+FLMS batch, in (rows, N) float arrays:
-# 4.57 measured with numpy 2.4; with the (rows, N, K) tap windows copied
-# out of their strided view it reads 7.56
+# 4.83 measured with numpy 2.4, of which about 0.25 is the weights of one
+# CHUNK of steps and their distance temporaries; with the (rows, N, K)
+# tap windows copied out of their strided view it reads 7.83
 MEMORY_ROW_ARRAYS = 5.5
 
 
@@ -126,6 +127,20 @@ def test_partly_diverged_batch_equals_scalar_loop(algorithm, nu):
     [cells] = assert_rows_match_oracle([AlgorithmSpec(algorithm, cfg)], plants, 600, 12, seed=12345)
     lost = [len(diverged_at) for _, diverged_at in cells]
     assert all(0 < n < 12 for n in lost), lost
+
+
+@pytest.mark.parametrize("n_samples", [simulate.CHUNK - 1, simulate.CHUNK, simulate.CHUNK + 1, 2 * simulate.CHUNK + 1])
+@pytest.mark.parametrize("names", [(name,) for name in ALGORITHMS] + [("lms", "flms")], ids="+".join)
+def test_chunk_edges_equal_scalar_loop(names, n_samples):
+    # the weight distance is measured once per CHUNK steps: lengths on
+    # either side of a chunk boundary, and a last chunk of one step
+    cfg = FilterConfig(
+        tap_count=3, frac_order=0.5, nu_init=0.05, nu_f_init=0.05, nu_min=0.01, nu_max=0.1,
+        alpha=0.5, beta=0.5, gamma=0.5, weight_init=1e-20,
+    )
+    algorithms = [AlgorithmSpec(name, cfg) for name in names]
+    plants = [PlantSpec((0.9, 0.3, -0.1), 0.1), PlantSpec((0.9, 0.3, -0.1), 0.001)]
+    assert_rows_match_oracle(algorithms, plants, n_samples, 3, seed=12345)
 
 
 # LMS near its stability edge with its own constants; FLMS and RVSS-FLMS share theirs

@@ -20,6 +20,13 @@ from fraclms.simulate import RunSeries
 TRUTH = np.array([0.9, 0.3, -0.1])
 
 
+def generator_nwd_db(distance):
+    """nwd_db as one Python expression per element, frozen as the reference."""
+    d = np.asarray(distance, dtype=float)
+    db = np.fromiter((10.0 * math.log10(r) if r else DB_FLOOR for r in d.flat), float, d.size)
+    return np.maximum(db.reshape(d.shape), DB_FLOOR)
+
+
 class TestNwdDb:
     def test_perfect_identification_hits_floor(self):
         assert nwd_db(weight_distance(TRUTH)(TRUTH.copy())) == DB_FLOOR
@@ -45,6 +52,47 @@ class TestNwdDb:
         base = nwd_db(weight_distance(TRUTH)(est))
         assert nwd_db(weight_distance(2.0 * TRUTH)(2.0 * est)) == base
         assert nwd_db(weight_distance(-1.7 * TRUTH)(-1.7 * est)) == pytest.approx(base, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "distance",
+        [
+            0.0,
+            -0.0,
+            5e-324,
+            1e-33,
+            1.0,
+            math.nan,
+            math.inf,
+            np.array(0.25),
+            np.array([[0.0, 5e-324, 1e-33, 1e-40], [1.0, math.nan, math.inf, 3.7]]),
+            np.random.default_rng(3).exponential(size=(6, 50)) ** 9,
+        ],
+    )
+    def test_bitwise_equal_to_generator(self, distance):
+        got, ref = np.asarray(nwd_db(distance)), np.asarray(generator_nwd_db(distance))
+        assert got.shape == ref.shape
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize("distance", [-1e-3, -math.inf, np.array([[0.5, 0.0], [-2.0, 1.0]])])
+    def test_negative_ratio_raises(self, distance):
+        with pytest.raises(ValueError):
+            generator_nwd_db(distance)
+        with pytest.raises(ValueError):
+            nwd_db(distance)
+
+    def test_stack_of_estimates_equals_per_slice(self):
+        rng = np.random.default_rng(5)
+        truth = rng.normal(size=(4, 3))
+        stack = truth + rng.normal(scale=1e-3, size=(7, 4, 3))
+        ratio = weight_distance(truth)
+        got = ratio(stack)
+        assert got.shape == (7, 4)
+        for c in range(7):
+            assert np.array_equal(got[c].view(np.int64), ratio(stack[c]).view(np.int64))
+        with pytest.raises(ValueError):
+            ratio(stack[..., :2])
+        with pytest.raises(ValueError):
+            ratio(stack[:, :3])
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(8)
