@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -77,6 +78,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    for flag, value, low in (("--mse-tol", args.mse_tol, 0.0), ("--iter-factor", args.iter_factor, 1.0)):
+        if not (math.isfinite(value) and value >= low):
+            print(f"{flag} must be finite and >= {low:g}, got {value:g}", file=sys.stderr)
+            return 2
     try:
         report = compare_to_reference(
             args.summary,
@@ -101,7 +106,10 @@ def _cmd_verify(args) -> int:
 def _cmd_plot(args) -> int:
     column, ylabel = KINDS[args.kind]
     try:
-        curves = {Path(p).stem: read_curve(p, column) for p in args.curves}
+        stems = [Path(p).stem for p in args.curves]
+        # a repeated stem would drop a curve: then each is labeled by its path as given
+        labels = stems if len(set(stems)) == len(stems) else args.curves
+        curves = {label: read_curve(p, column) for label, p in zip(labels, args.curves)}
         plot_curves(curves, args.out, ylabel=ylabel)
     except (FormatError, OSError, ValueError) as exc:
         print(str(exc), file=sys.stderr)

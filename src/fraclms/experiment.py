@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -182,10 +183,10 @@ def run_experiment(
     for group, cells, seconds in results:
         batch_seconds["+".join(spec.name for spec in group)] = seconds
         for spec, per_snr in zip(group, cells):
-            for snr, (series, lost) in zip(config.snr_db_list, per_snr):
+            for snr, (e2, nwd, lost) in zip(config.snr_db_list, per_snr):
                 diverged_at[f"{spec.name}@{_snr_tag(snr)}"] = lost
-                reports[(spec.name, snr)] = build_report(series, runs_diverged=len(lost))
-        del cells, per_snr, series  # free this batch's runs before the next one runs
+                reports[(spec.name, snr)] = build_report(e2, nwd, runs_diverged=len(lost))
+        del cells, per_snr, e2, nwd  # free this batch's runs before the next one runs
 
     _remove_previous_run(out)
     artifact_paths: dict = {"curves": {}, "plots": {}, "summary": "summary.csv"}
@@ -350,7 +351,12 @@ def compare_to_reference(
     (algorithm, SNR) pairs present in both files are compared; the timing
     column of the reference is ignored.  The mean observed-minus-reference
     NWD level difference per algorithm is reported alongside the verdicts.
+    mse_tol_db must be finite and >= 0 and iter_factor finite and >= 1,
+    below which no iteration can match a nonzero reference.
     """
+    for name, value, low in (("mse_tol_db", mse_tol_db, 0.0), ("iter_factor", iter_factor, 1.0)):
+        if not (math.isfinite(value) and value >= low):
+            raise ValueError(f"{name} must be finite and >= {low:g}, got {value!r}")
     summary = {(r["algorithm"], r["snr_db"]): r for r in read_summary(summary_path)}
     reference = {(r["algorithm"], r["snr_db"]): r for r in read_reference(reference_path)}
 

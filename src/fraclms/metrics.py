@@ -11,22 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .filters import tap_dot
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .simulate import RunSeries
 
 __all__ = [
     "DB_FLOOR",
     "EnsembleReport",
     "weight_distance",
     "nwd_db",
-    "ensemble_mse_db",
-    "ensemble_nwd_db",
     "steady_state_level",
     "convergence_iteration",
     "build_report",
@@ -89,30 +84,15 @@ def nwd_db(distance):
     return np.maximum(db, DB_FLOOR)
 
 
-def _ensemble_mean(curves: Sequence[np.ndarray]) -> np.ndarray:
-    """Per-iteration mean of equal-length curves, summed in run order for determinism."""
-    if len(curves) == 0:
-        raise ValueError("empty ensemble: no runs to average")
-    n = len(curves[0])
-    acc = np.zeros(n)
-    for c in curves:
-        if len(c) != n:
-            raise ValueError("all runs must have the same length")
-        acc += c
+def _ensemble_mean(curves) -> np.ndarray:
+    """Per-iteration mean of (runs, N) rows, summed row by row in run order.
+
+    Not curves.sum(axis=0): at N = 1 numpy sums the one column pairwise.
+    """
+    acc = np.zeros(np.shape(curves)[1])
+    for row in curves:
+        acc += row
     return acc / len(curves)
-
-
-def ensemble_mse_db(runs: Sequence["RunSeries"]) -> np.ndarray:
-    """Per-iteration mean of e**2 across runs, in dB."""
-    mean = _ensemble_mean([r.squared_error for r in runs])
-    with np.errstate(divide="ignore"):
-        out = 10.0 * np.log10(mean)
-    return np.maximum(out, DB_FLOOR)
-
-
-def ensemble_nwd_db(runs: Sequence["RunSeries"]) -> np.ndarray:
-    """Per-iteration mean of the per-run NWD curves (already in dB)."""
-    return _ensemble_mean([r.nwd_db for r in runs])
 
 
 def steady_state_level(curve_db, tail_fraction: float = 0.25) -> float:
@@ -141,15 +121,16 @@ def convergence_iteration(curve_db, steady_db: float, margin_db: float = 1.0) ->
     return n if n < c.size else None
 
 
-def build_report(runs: Sequence["RunSeries"], runs_diverged: int = 0) -> EnsembleReport:
-    """Aggregate non-diverged runs into an EnsembleReport.
+def build_report(squared_error, nwd_db, runs_diverged: int = 0) -> EnsembleReport:
+    """Aggregate a cell's non-diverged runs, (runs, N) rows of e**2 and of NWD dB, into an EnsembleReport.
 
     With no runs (all diverged) the curves are empty and the levels NaN.
     """
-    if len(runs) == 0:
+    if len(squared_error) == 0:
         return EnsembleReport(np.empty(0), np.empty(0), math.nan, None, math.nan, None, 0, runs_diverged)
-    mse = ensemble_mse_db(runs)
-    nwd = ensemble_nwd_db(runs)
+    with np.errstate(divide="ignore"):
+        mse = np.maximum(10.0 * np.log10(_ensemble_mean(squared_error)), DB_FLOOR)
+    nwd = _ensemble_mean(nwd_db)
     s_mse = steady_state_level(mse)
     s_nwd = steady_state_level(nwd)
     return EnsembleReport(
@@ -159,6 +140,6 @@ def build_report(runs: Sequence["RunSeries"], runs_diverged: int = 0) -> Ensembl
         mse_conv_iter=convergence_iteration(mse, s_mse),
         steady_nwd_db=s_nwd,
         nwd_conv_iter=convergence_iteration(nwd, s_nwd),
-        runs_used=len(runs),
+        runs_used=len(squared_error),
         runs_diverged=runs_diverged,
     )

@@ -123,8 +123,9 @@ def plot_curves(curves: Mapping[str, np.ndarray], path, ylabel: str) -> Path:
             f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
             f'stroke="{color}" stroke-width="1.5"/>'
         )
+        label = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")  # names may be paths
         lines.append(
-            f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" font-size="11">{name}</text>'
+            f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" font-size="11">{label}</text>'
         )
 
     lines.append("</svg>")

@@ -30,7 +30,6 @@ __all__ = [
     "PlantSpec",
     "AlgorithmSpec",
     "ExperimentConfig",
-    "RunSeries",
     "stream",
     "bpsk_sequence",
     "clean_plant_power",
@@ -142,14 +141,6 @@ class ExperimentConfig:
         return bad
 
 
-@dataclass
-class RunSeries:
-    """Per-iteration traces of one identification run."""
-
-    squared_error: np.ndarray
-    nwd_db: np.ndarray
-
-
 def stream(seed: int, run_index: int, role: int) -> np.random.Generator:
     """Independent generator for one (run, role) pair under a master seed."""
     return np.random.default_rng(np.random.SeedSequence((seed, run_index, role)))
@@ -225,7 +216,7 @@ def run_identification(
     plants: Sequence[PlantSpec],
     x: np.ndarray,
     z: np.ndarray,
-) -> list[list[tuple[list[RunSeries], list[int]]]]:
+) -> list[list[tuple[np.ndarray, np.ndarray, list[int]]]]:
     """Drive a batch of filters through the identification loop together.
 
     algorithms is one batch of :func:`batches`.  x and z are (R, N): the
@@ -239,9 +230,10 @@ def run_identification(
 
     A row is masked at the first sample whose squared error, step size or
     NWD is not finite; the loop stops once no row's error is finite.
-    Returns, per algorithm and then per plant, the series of the runs that
-    stayed finite (squared prediction error and NWD after every update)
-    and the sorted sample index at which each other run was masked.
+    Returns, per algorithm and then per plant, (squared_error, nwd_db,
+    diverged_at): one (runs_used, N) row per run that stayed finite, in run
+    order, of its squared prediction error and NWD in dB after every
+    update, and the sorted sample index at which each other run was masked.
     """
     keys = {(_batch_key(spec), spec.filter.tap_count) for spec in algorithms}
     if len(keys) != 1:
@@ -301,14 +293,13 @@ def run_identification(
     bad = np.ones((rows, done + 1), dtype=bool)
     bad[:, :done] = ~(np.isfinite(e2[:, :done]) & np.isfinite(distance[:, :done]) & np.isfinite(nu[:, :done]))
     masked_at = bad.argmax(axis=1)
+    del bad, nu  # free them before the kept rows are copied out
 
     cells = [[] for _ in algorithms]
     for first in range(0, rows, runs):  # one (algorithm, plant) cell per block of runs
         lost = masked_at[first : first + runs]
         kept = first + np.flatnonzero(lost == n_samples)
-        nwd = nwd_db(distance[kept])
-        series = [RunSeries(squared_error=e2[row], nwd_db=curve) for row, curve in zip(kept, nwd)]
-        cells[first // block].append((series, sorted(lost[lost < n_samples].tolist())))
+        cells[first // block].append((e2[kept], nwd_db(distance[kept]), sorted(lost[lost < n_samples].tolist())))
     return cells
 
 
@@ -318,15 +309,13 @@ def run_ensemble(
     n_samples: int,
     monte_carlo_runs: int,
     seed: int,
-) -> list[list[tuple[list[RunSeries], list[int]]]]:
+) -> list[list[tuple[np.ndarray, np.ndarray, list[int]]]]:
     """Execute an ensemble of independent runs of a batch of algorithms against every plant.
 
     Every run r draws its input and disturbance from streams derived from
     (seed, r, role) regardless of algorithm and plant, so different
     algorithms see identical signals.  Returns what
-    :func:`run_identification` returns: per algorithm and plant, the runs
-    that stayed finite and the sample index at which each other run
-    diverged.
+    :func:`run_identification` returns.
     """
     x = np.empty((monte_carlo_runs, n_samples))
     z = np.empty((monte_carlo_runs, n_samples))

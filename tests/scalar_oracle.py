@@ -16,13 +16,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from fraclms.filters import FilterConfig, FracPowerPolicy
-from fraclms.simulate import ROLE_DISTURBANCE, ROLE_INPUT, PlantSpec, RunSeries, bpsk_sequence, stream
+from fraclms.simulate import ROLE_DISTURBANCE, ROLE_INPUT, PlantSpec, bpsk_sequence, stream
 
 DB_FLOOR = -320.0
+
+
+class RunSeries(NamedTuple):
+    squared_error: np.ndarray
+    nwd_db: np.ndarray
 
 
 class DivergedError(RuntimeError):

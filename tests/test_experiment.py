@@ -1,6 +1,8 @@
 """End-to-end tests for the experiment runner, file formats, plots and CLI."""
 
 import json
+import math
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -264,6 +266,21 @@ class TestCompareToReference:
         bad = [c for c in report.cells if not c.passed]
         assert bad and all(c.quantity == "mse_conv_iter" for c in bad)
 
+    @pytest.mark.parametrize(
+        "name, value", [("iter_factor", 0.0), ("iter_factor", 0.5), ("iter_factor", math.nan),
+                        ("iter_factor", math.inf), ("mse_tol_db", -1.0), ("mse_tol_db", math.nan)],
+    )
+    def test_tolerance_out_of_range_raises(self, small_run, name, value):
+        out, _ = small_run
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            compare_to_reference(out / "summary.csv", bundled_path("table1.reference"), **{name: value})
+
+    def test_tightest_tolerances_pass_a_self_comparison(self, small_run, tmp_path):
+        out, _ = small_run
+        summary_to_reference(read_summary(out / "summary.csv"), tmp_path / "self.reference")
+        report = compare_to_reference(out / "summary.csv", tmp_path / "self.reference", mse_tol_db=0.0, iter_factor=1.0)
+        assert report.passed
+
     def test_bundled_reference_parses(self):
         rows = read_reference(bundled_path("table1.reference"))
         assert len(rows) == 12
@@ -456,6 +473,33 @@ class TestCli:
         curves = [str(out / "lms_10dB.csv"), str(out / "flms_10dB.csv")]
         assert cli.main(["plot", *curves, "--kind", "mse", "--out", str(svg)]) == 0
         assert svg.read_text().count("<polyline") == 2
+
+    def test_plot_labels_repeated_stems_by_path(self, small_run, tmp_path, capsys):
+        out, _ = small_run
+        other = tmp_path / "r&d"  # a label is SVG text: its & must be escaped
+        other.mkdir()
+        (other / "lms_10dB.csv").write_bytes((out / "flms_10dB.csv").read_bytes())
+        svg = tmp_path / "combined.svg"
+        unique = [str(out / "lms_10dB.csv"), str(out / "flms_10dB.csv")]
+        assert cli.main(["plot", *unique, "--kind", "mse", "--out", str(svg)]) == 0
+        assert ">lms_10dB</text>" in svg.read_text() and ">flms_10dB</text>" in svg.read_text()
+        repeated = [str(out / "lms_10dB.csv"), str(other / "lms_10dB.csv")]
+        assert cli.main(["plot", *repeated, "--kind", "mse", "--out", str(svg)]) == 0
+        text = svg.read_text()
+        assert text.count("<polyline") == 2
+        labels = [node.firstChild.data for node in minidom.parseString(text).getElementsByTagName("text")]
+        assert set(repeated) <= set(labels)
+
+    @pytest.mark.parametrize(
+        "flag, value, low",
+        [("--iter-factor", "0", "1"), ("--iter-factor", "0.5", "1"), ("--iter-factor", "nan", "1"),
+         ("--mse-tol", "-1", "0"), ("--mse-tol", "inf", "0")],
+    )
+    def test_verify_tolerance_out_of_range_exits_2(self, small_run, capsys, flag, value, low):
+        out, _ = small_run
+        argv = ["verify", str(out / "summary.csv"), "--reference", "table1.reference", flag, value]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"{flag} must be finite and >= {low}, got {value}"]
 
     def test_all_runs_diverged_cell_reported(self, tmp_path, capsys):
         text = SMALL.replace("samples_per_run = 64", "samples_per_run = 50")

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import scalar_oracle
 from fraclms import experiment, simulate
+from fraclms.configfile import bundled_path, load
 from fraclms.filters import FilterConfig, FilterState, FracPowerPolicy, flms_step, initial_state
 from fraclms.simulate import ALGORITHMS, AlgorithmSpec, ExperimentConfig, PlantSpec, run_ensemble
 
@@ -27,7 +28,9 @@ unit = st.floats(0.05, 0.95)
 # traced peak of one merged LMS+FLMS batch, in (rows, N) float arrays:
 # 4.83 measured with numpy 2.4, of which about 0.25 is the weights of one
 # CHUNK of steps and their distance temporaries; with the (rows, N, K)
-# tap windows copied out of their strided view it reads 7.83
+# tap windows copied out of their strided view it reads 7.83.  Where no
+# run diverges (paper-x60) it reads 5.14, and 6.27 if nu is still held
+# while the kept rows are copied out
 MEMORY_ROW_ARRAYS = 5.5
 
 
@@ -89,21 +92,21 @@ def experiments(draw):
 
 
 def assert_rows_match_oracle(algorithms, plants, n_samples, monte_carlo_runs, seed):
-    """Check one batch against the oracle; return its (series, diverged_at) cells, algorithm-major."""
+    """Check one batch against the oracle; return its (squared_error, nwd_db, diverged_at) cells, algorithm-major."""
     cells = run_ensemble(algorithms, plants, n_samples, monte_carlo_runs, seed)
     assert len(cells) == len(algorithms)
     for spec, per_plant in zip(algorithms, cells):
         assert len(per_plant) == len(plants)
-        for plant, (series, diverged_at) in zip(plants, per_plant):
+        for plant, (e2, nwd, diverged_at) in zip(plants, per_plant):
             ref_series, ref_diverged_at = scalar_oracle.run_ensemble(
                 spec.name, spec.filter, plant, n_samples, monte_carlo_runs, seed
             )
             assert diverged_at == sorted(ref_diverged_at)
             # the survivors come in run order; distinct streams give every run its own curve
-            assert len(series) == len(ref_series)
-            for got, ref in zip(series, ref_series):
-                assert np.array_equal(got.squared_error, ref.squared_error)
-                assert np.array_equal(got.nwd_db, ref.nwd_db)
+            assert e2.shape == nwd.shape == (len(ref_series), n_samples)
+            for got_e2, got_nwd, ref in zip(e2, nwd, ref_series):
+                assert np.array_equal(got_e2, ref.squared_error)
+                assert np.array_equal(got_nwd, ref.nwd_db)
     return cells
 
 
@@ -113,7 +116,7 @@ def test_kernel_rows_equal_scalar_loop(experiment):
     cells = assert_rows_match_oracle(**experiment)
     # steer the search towards batches in which only some runs of a plant diverge
     runs = experiment["monte_carlo_runs"]
-    target(float(sum(0 < len(diverged_at) < runs for per_plant in cells for _, diverged_at in per_plant)))
+    target(float(sum(0 < len(diverged_at) < runs for per_plant in cells for _, _, diverged_at in per_plant)))
 
 
 @pytest.mark.parametrize("algorithm, nu", [("lms", 1.35), ("flms", 0.34), ("rvss-flms", 0.34)])
@@ -125,7 +128,7 @@ def test_partly_diverged_batch_equals_scalar_loop(algorithm, nu):
     )
     plants = [PlantSpec((0.9, 0.3, -0.1), 0.143), PlantSpec((0.9, 0.3, -0.1), 0.091)]
     [cells] = assert_rows_match_oracle([AlgorithmSpec(algorithm, cfg)], plants, 600, 12, seed=12345)
-    lost = [len(diverged_at) for _, diverged_at in cells]
+    lost = [len(diverged_at) for _, _, diverged_at in cells]
     assert all(0 < n < 12 for n in lost), lost
 
 
@@ -183,18 +186,26 @@ def test_merged_batch_memory_is_a_few_row_arrays():
     # The kernel keeps about four (rows, N) float arrays: the padded input,
     # desired turned squared error, the weight distance and nu.  A (rows,
     # N, K) copy of the tap windows, or a weight history, adds K more.
-    algorithms = [AlgorithmSpec("lms", EDGE_LMS), AlgorithmSpec("flms", EDGE)]
-    plants = [PlantSpec((0.9, 0.3, -0.1), 0.143), PlantSpec((0.9, 0.3, -0.1), 0.091)]
+    paper_x60 = load(bundled_path("paper-x60.config"))
+    batches = {
+        "edge": (
+            [AlgorithmSpec("lms", EDGE_LMS), AlgorithmSpec("flms", EDGE)],
+            [PlantSpec((0.9, 0.3, -0.1), 0.143), PlantSpec((0.9, 0.3, -0.1), 0.091)],
+        ),
+        # paper-x60's LMS+FLMS batch at 10 and 20 dB, where no run diverges
+        "paper-x60": (list(paper_x60.algorithms[:2]), [paper_x60.plant_at(10.0), paper_x60.plant_at(20.0)]),
+    }
     n_samples, runs = 600, 40
-    run_ensemble(algorithms, plants, n_samples, runs, seed=12345)  # warm up numpy's caches
-    tracemalloc.start()
-    try:
-        run_ensemble(algorithms, plants, n_samples, runs, seed=12345)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    row_array = len(algorithms) * len(plants) * runs * n_samples * 8
-    assert peak < MEMORY_ROW_ARRAYS * row_array, peak / row_array
+    for name, (algorithms, plants) in batches.items():
+        run_ensemble(algorithms, plants, n_samples, runs, seed=12345)  # warm up numpy's caches
+        tracemalloc.start()
+        try:
+            run_ensemble(algorithms, plants, n_samples, runs, seed=12345)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        row_array = len(algorithms) * len(plants) * runs * n_samples * 8
+        assert peak < MEMORY_ROW_ARRAYS * row_array, (name, peak / row_array)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -222,7 +233,7 @@ def test_all_diverged_batch_masks_live_rows_at_the_break(algorithm, monkeypatch)
     with np.errstate(all="ignore"):
         [cells] = assert_rows_match_oracle([AlgorithmSpec(algorithm, cfg)], plants, 50, 3, seed=2)
     assert len(calls) == 4
-    assert [diverged_at for _, diverged_at in cells] == [[0, 0, 0], [1, 1, 1], [2, 2, 2]]
+    assert [diverged_at for _, _, diverged_at in cells] == [[0, 0, 0], [1, 1, 1], [2, 2, 2]]
 
 
 def test_step_never_raises_and_rows_stay_independent():

@@ -9,13 +9,10 @@ from fraclms.metrics import (
     DB_FLOOR,
     build_report,
     convergence_iteration,
-    ensemble_mse_db,
-    ensemble_nwd_db,
     nwd_db,
     steady_state_level,
     weight_distance,
 )
-from fraclms.simulate import RunSeries
 
 TRUTH = np.array([0.9, 0.3, -0.1])
 
@@ -104,50 +101,57 @@ class TestNwdDb:
             assert nwd_db(weight_distance(truth[perm])(est[perm])) == pytest.approx(base, rel=1e-12)
 
 
-def series(e2, nwd=None):
+def report(e2, nwd=None, runs_diverged=0):
+    """build_report on (runs, N) rows of squared error and NWD; NWD defaults to zeros."""
     e2 = np.asarray(e2, dtype=float)
-    if nwd is None:
-        nwd = np.zeros_like(e2)
-    return RunSeries(squared_error=e2, nwd_db=np.asarray(nwd, dtype=float))
+    return build_report(e2, np.zeros_like(e2) if nwd is None else np.asarray(nwd, dtype=float), runs_diverged)
 
 
 class TestEnsembleCurves:
     def test_single_run_unit_errors(self):
-        out = ensemble_mse_db([series([1.0, 1.0, 1.0])])
+        out = report([[1.0, 1.0, 1.0]]).mse_db
         assert np.array_equal(out, np.zeros(3))
 
     def test_two_run_mean(self):
-        out = ensemble_mse_db([series([1.0]), series([3.0])])
+        out = report([[1.0], [3.0]]).mse_db
         assert out[0] == pytest.approx(3.0102999566398120, rel=1e-12)
 
     def test_order_independent(self):
-        runs = [series([float(i + 1), float(2 * i + 1)]) for i in range(6)]
-        fwd = ensemble_mse_db(runs)
-        rev = ensemble_mse_db(list(reversed(runs)))
+        runs = [[float(i + 1), float(2 * i + 1)] for i in range(6)]
+        fwd = report(runs).mse_db
+        rev = report(runs[::-1]).mse_db
         np.testing.assert_allclose(fwd, rev, rtol=1e-14)
 
     def test_identical_runs_equal_single_curve(self):
-        one = series([0.5, 0.1, 0.02])
-        single = ensemble_mse_db([one])
-        four = ensemble_mse_db([one] * 4)  # power-of-two mean is exact
+        one = [0.5, 0.1, 0.02]
+        single = report([one]).mse_db
+        four = report([one] * 4).mse_db  # power-of-two mean is exact
         assert np.array_equal(single, four)
-        three = ensemble_mse_db([one] * 3)
+        three = report([one] * 3).mse_db
         np.testing.assert_allclose(three, single, rtol=1e-14)
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            ensemble_mse_db([series([1.0, 2.0]), series([1.0])])
-
     def test_empty_ensemble(self):
-        with pytest.raises(ValueError, match="empty ensemble"):
-            ensemble_mse_db([])
-        with pytest.raises(ValueError, match="empty ensemble"):
-            ensemble_nwd_db([])
+        rep = build_report(np.empty((0, 8)), np.empty((0, 8)), runs_diverged=4)
+        assert rep.mse_db.size == rep.nwd_db.size == 0
+        assert math.isnan(rep.steady_mse_db) and math.isnan(rep.steady_nwd_db)
+        assert rep.mse_conv_iter is None and rep.nwd_conv_iter is None
+        assert (rep.runs_used, rep.runs_diverged) == (0, 4)
 
     def test_nwd_curve_is_mean_of_db_values(self):
-        runs = [series([1.0, 1.0], nwd=[-10.0, -20.0]), series([1.0, 1.0], nwd=[-30.0, -40.0])]
-        out = ensemble_nwd_db(runs)
+        out = report([[1.0, 1.0], [1.0, 1.0]], nwd=[[-10.0, -20.0], [-30.0, -40.0]]).nwd_db
         assert np.array_equal(out, np.array([-20.0, -30.0]))
+
+    @pytest.mark.parametrize("runs", [8, 16, 17, 40, 100, 128, 129, 200, 257])
+    def test_single_sample_mean_sums_in_run_order(self, runs):
+        # at N = 1 a numpy reduction over the runs sums the one column
+        # pairwise; the mean must be the run-order sum, bit for bit
+        column = np.random.default_rng(runs).lognormal(0.0, 3.0, size=(runs, 1))
+        acc = 0.0
+        for (value,) in column.tolist():
+            acc += value
+        rep = report(column, nwd=-column)
+        assert rep.nwd_db.tolist() == [-acc / runs]
+        assert rep.mse_db.tolist() == [10.0 * np.log10(acc / runs)]
 
 
 class TestSteadyStateLevel:
@@ -209,8 +213,7 @@ class TestConvergenceIteration:
 
 class TestBuildReport:
     def test_counts_and_fields(self):
-        runs = [series(np.full(8, 0.01), nwd=np.full(8, -15.0)) for _ in range(3)]
-        rep = build_report(runs, runs_diverged=2)
+        rep = report(np.full((3, 8), 0.01), nwd=np.full((3, 8), -15.0), runs_diverged=2)
         assert rep.runs_used == 3
         assert rep.runs_diverged == 2
         assert rep.steady_mse_db == pytest.approx(-20.0, rel=1e-12)

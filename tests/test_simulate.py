@@ -26,13 +26,13 @@ PAPER_PLANT = PlantSpec(coeffs=(0.9, 0.3, -0.1))
 def single_run(algorithm, cfg, plant, n, seed, run=0):
     """run_identification on a batch of one: run `run` of `seed` against plant.
 
-    Returns the run's series (None if it diverged) and the masked sample
-    indices.
+    Returns its (1, n) squared error and NWD rows, (0, n) if it diverged,
+    and the masked sample indices.
     """
     x = bpsk_sequence(n, stream(seed, run, ROLE_INPUT))[None]
     z = stream(seed, run, ROLE_DISTURBANCE).standard_normal(n)[None]
-    [[(series, diverged_at)]] = run_identification([AlgorithmSpec(algorithm, cfg)], [plant], x, z)
-    return (series[0] if series else None), diverged_at
+    [[cell]] = run_identification([AlgorithmSpec(algorithm, cfg)], [plant], x, z)
+    return cell
 
 
 def scaled_config(**over):
@@ -140,18 +140,19 @@ class TestRunIdentification:
     def test_scalar_lms_contraction(self):
         cfg = scaled_config(tap_count=1, nu_init=0.4, nu_f_init=0.0, nu_min=0.1, nu_max=0.5)
         plant = PlantSpec(coeffs=(0.5,), disturbance_variance=0.0)
-        series, _ = single_run("lms", cfg, plant, 50, seed=3)
-        assert np.all(np.diff(series.squared_error) <= 0.0)
+        e2, nwd, _ = single_run("lms", cfg, plant, 50, seed=3)
+        assert np.all(np.diff(e2[0]) <= 0.0)
         # |w - 0.5| < 1e-3 means NWD below 20*log10(1e-3 / 0.5)
-        assert series.nwd_db[-1] < 20.0 * math.log10(1e-3 / 0.5)
+        assert nwd[0, -1] < 20.0 * math.log10(1e-3 / 0.5)
 
     def test_bit_for_bit_reproducible(self):
         cfg = scaled_config()
         plant = PlantSpec(coeffs=PAPER_PLANT.coeffs, disturbance_variance=0.05)
-        a, _ = single_run("rvss-flms", cfg, plant, 120, seed=9, run=4)
-        b, _ = single_run("rvss-flms", cfg, plant, 120, seed=9, run=4)
-        assert np.array_equal(a.squared_error, b.squared_error)
-        assert np.array_equal(a.nwd_db, b.nwd_db)
+        a_e2, a_nwd, _ = single_run("rvss-flms", cfg, plant, 120, seed=9, run=4)
+        b_e2, b_nwd, _ = single_run("rvss-flms", cfg, plant, 120, seed=9, run=4)
+        assert a_e2.shape == (1, 120)
+        assert np.array_equal(a_e2, b_e2)
+        assert np.array_equal(a_nwd, b_nwd)
 
     def test_replay_with_manual_windows_matches_bitwise(self):
         """Replays a plain-LMS run entirely in python floats, building the
@@ -162,7 +163,7 @@ class TestRunIdentification:
         var = 0.02
         plant = PlantSpec(coeffs=PAPER_PLANT.coeffs, disturbance_variance=var)
         n = 200
-        series, _ = single_run("lms", cfg, plant, n, seed=21)
+        e2, _, _ = single_run("lms", cfg, plant, n, seed=21)
 
         x = [float(v) for v in bpsk_sequence(n, stream(21, 0, 0))]
         drng = stream(21, 0, 1)
@@ -183,14 +184,14 @@ class TestRunIdentification:
             e = desired - y
             for k in range(3):
                 w[k] = w[k] + (nu * e) * window[k]
-            assert series.squared_error[i] == e * e, i
+            assert e2[0, i] == e * e, i
 
     def test_matches_manual_step_loop(self):
         cfg = scaled_config()
         var = 0.0091
         plant = PlantSpec(coeffs=PAPER_PLANT.coeffs, disturbance_variance=var)
         n = 150
-        series, _ = single_run("rvss-flms", cfg, plant, n, seed=5, run=2)
+        e2, _, _ = single_run("rvss-flms", cfg, plant, n, seed=5, run=2)
 
         x = bpsk_sequence(n, stream(5, 2, 0))
         drng = stream(5, 2, 1)
@@ -200,15 +201,15 @@ class TestRunIdentification:
             reg = padded[i : i + 3][::-1]
             desired = plant_output(reg, plant, drng.standard_normal())
             state, e = rvss_flms_step(state, reg, desired, cfg)
-            assert series.squared_error[i] == e * e
+            assert e2[0, i] == e * e
 
     def test_noise_free_identifiability(self):
         # nu_min = nu_init keeps the variable step from decaying mid-run
         plant = PlantSpec(coeffs=PAPER_PLANT.coeffs, disturbance_variance=0.0)
         cfg = scaled_config(nu_init=0.05, nu_f_init=0.05, nu_min=0.05, nu_max=0.1)
         for algo in ("lms", "flms", "rvss-flms"):
-            series, _ = single_run(algo, cfg, plant, 600, seed=1)
-            assert series.nwd_db[-1] < -60.0, algo
+            _, nwd, _ = single_run(algo, cfg, plant, 600, seed=1)
+            assert nwd[0, -1] < -60.0, algo
 
     def test_overflowing_square_diverges_at_first_sample(self):
         # every value of the first step is finite; only the squared error
@@ -220,7 +221,9 @@ class TestRunIdentification:
         _, err = flms_step(initial_state(cfg), window, 0.0, cfg)
         with np.errstate(over="ignore"):
             assert math.isfinite(err) and not math.isfinite(err * err)
-        assert single_run("lms", cfg, plant, 10, seed=3) == (None, [0])
+        e2, nwd, diverged_at = single_run("lms", cfg, plant, 10, seed=3)
+        assert e2.shape == nwd.shape == (0, 10)
+        assert diverged_at == [0]
 
     def test_all_zero_plant_raises_instead_of_masking(self):
         # ||truth|| = 0 makes every distance ratio non-finite, which would
@@ -261,16 +264,16 @@ class TestRunEnsemble:
         cfg = scaled_config()
         first = {}
         for algo in ("lms", "flms", "rvss-flms"):
-            [[(series, _)]] = run_ensemble([AlgorithmSpec(algo, cfg)], [plant], 1, 3, seed=77)
-            first[algo] = [s.squared_error[0] for s in series]
+            [[(e2, _, _)]] = run_ensemble([AlgorithmSpec(algo, cfg)], [plant], 1, 3, seed=77)
+            first[algo] = e2[:, 0].tolist()
         assert first["lms"] == first["flms"] == first["rvss-flms"]
 
     def test_diverged_runs_counted_and_excluded(self):
         cfg = scaled_config(nu_init=2.0, nu_f_init=0.0, nu_min=0.1, nu_max=3.0)
         plant = PlantSpec(coeffs=PAPER_PLANT.coeffs, disturbance_variance=0.0)
-        [[(series, diverged_at)]] = run_ensemble([AlgorithmSpec("lms", cfg)], [plant], 600, 4, seed=12)
+        [[(e2, nwd, diverged_at)]] = run_ensemble([AlgorithmSpec("lms", cfg)], [plant], 600, 4, seed=12)
         assert len(diverged_at) == 4
-        assert series == []
+        assert e2.shape == nwd.shape == (0, 600)
 
     def test_reaches_noise_floor_at_40db_in_most_runs(self):
         # at 40 dB SNR the squared error should drop below 1e-3 within the
@@ -278,7 +281,7 @@ class TestRunEnsemble:
         power = clean_plant_power(PAPER_PLANT.coeffs)
         plant = PlantSpec(coeffs=PAPER_PLANT.coeffs, disturbance_variance=snr_to_variance(40.0, power))
         rvss = AlgorithmSpec("rvss-flms", scaled_config())
-        [[(series, diverged_at)]] = run_ensemble([rvss], [plant], 600, 40, seed=30)
+        [[(e2, _, diverged_at)]] = run_ensemble([rvss], [plant], 600, 40, seed=30)
         assert diverged_at == []
-        hits = sum(1 for s in series if np.min(s.squared_error) < 1e-3)
-        assert hits >= 0.95 * len(series)
+        hits = np.count_nonzero(e2.min(axis=1) < 1e-3)
+        assert hits >= 0.95 * len(e2)
