@@ -14,13 +14,9 @@ from .experiment import read_curve, read_summary, run_experiment
 from .plotting import KINDS, plot_curves
 
 
-def _color_enabled() -> bool:
-    return os.environ.get("NO_COLOR") is None and sys.stdout.isatty()
-
-
 def _verdict(passed: bool) -> str:
     word = "PASS" if passed else "FAIL"
-    if _color_enabled():
+    if os.environ.get("NO_COLOR") is None and sys.stdout.isatty():
         code = "32" if passed else "31"
         return f"\x1b[{code}m{word}\x1b[0m"
     return word
@@ -56,7 +52,7 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"aborted, output may be partial (no manifest written): {exc}", file=sys.stderr)
         return 2
     rows = read_summary(Path(args.out) / "summary.csv")
@@ -106,6 +102,9 @@ def _cmd_verify(args) -> int:
 def _cmd_plot(args) -> int:
     column, ylabel = KINDS[args.kind]
     try:
+        repeated = sorted({p for p in args.curves if args.curves.count(p) > 1})
+        if repeated:
+            raise ValueError(f"curves file given more than once: {', '.join(repeated)}")
         stems = [Path(p).stem for p in args.curves]
         # a repeated stem would drop a curve: then each is labeled by its path as given
         labels = stems if len(set(stems)) == len(stems) else args.curves

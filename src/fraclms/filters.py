@@ -6,7 +6,7 @@ Single-sample weight updates for the least mean square family of adaptive
 filters.  The fractional LMS (FLMS) augments the usual stochastic-gradient
 update with a fractional-order gradient term; RVSS-FLMS additionally drives
 the step size from a low-pass filtered error autocorrelation (see
-:mod:`fraclms.stepsize`).
+:func:`update_correlation` and :func:`update_step_size`).
 
 All operations are pure: they take a state and return a new state.  Every
 update takes a leading batch axis: a state holds (K,) weights and scalar
@@ -27,8 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stepsize import update_correlation, update_step_size
-
 __all__ = [
     "FracPowerPolicy",
     "FilterConfig",
@@ -36,6 +34,8 @@ __all__ = [
     "tap_dot",
     "predict",
     "frac_power",
+    "update_correlation",
+    "update_step_size",
     "flms_step",
     "rvss_flms_step",
     "initial_state",
@@ -176,6 +176,22 @@ def frac_power(w, exponent: float, policy: FracPowerPolicy = FracPowerPolicy.SIG
     if policy is FracPowerPolicy.MAGNITUDE_ONLY:
         return mag
     return np.sign(w) * mag
+
+
+def update_correlation(p_prev, e_now, e_prev, alpha: float):
+    """Average error-energy correlation: alpha*p + (1-alpha)*e(n)*e(n-1)."""
+    return alpha * p_prev + (1.0 - alpha) * e_now * e_prev
+
+
+def update_step_size(nu, p, cfg):
+    """Advance the step size, beta*nu + gamma*p**2, clamped to [nu_min, nu_max].
+
+    cfg is the filter's FilterConfig.  Boundary values pass through
+    unchanged (closed interval).
+    """
+    raw = cfg.beta * nu + cfg.gamma * p * p
+    # max/min return one of their operands exactly, and a NaN raw stays NaN
+    return np.minimum(np.maximum(raw, cfg.nu_min), cfg.nu_max)
 
 
 def flms_step(

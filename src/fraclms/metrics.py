@@ -19,6 +19,8 @@ from .filters import tap_dot
 
 __all__ = [
     "DB_FLOOR",
+    "TAIL_FRACTION",
+    "MARGIN_DB",
     "EnsembleReport",
     "weight_distance",
     "nwd_db",
@@ -28,6 +30,8 @@ __all__ = [
 ]
 
 DB_FLOOR = -320.0
+TAIL_FRACTION = 0.25  # steady state: mean of the last quarter of a curve
+MARGIN_DB = 1.0  # converged: within this of the steady state from then on
 
 
 @dataclass
@@ -95,26 +99,22 @@ def _ensemble_mean(curves) -> np.ndarray:
     return acc / len(curves)
 
 
-def steady_state_level(curve_db, tail_fraction: float = 0.25) -> float:
-    """Mean of the last ceil(tail_fraction * N) entries of a dB curve."""
+def steady_state_level(curve_db) -> float:
+    """Mean of the last ceil(TAIL_FRACTION * N) entries of a dB curve."""
     c = np.asarray(curve_db, dtype=float)
     if c.size == 0:
         raise ValueError("empty curve")
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError(f"tail_fraction must lie in (0, 1], got {tail_fraction}")
-    k = math.ceil(tail_fraction * c.size)
+    k = math.ceil(TAIL_FRACTION * c.size)
     return float(np.mean(c[c.size - k:]))
 
 
-def convergence_iteration(curve_db, steady_db: float, margin_db: float = 1.0) -> Optional[int]:
-    """Smallest n with curve[m] <= steady_db + margin_db for every m >= n.
+def convergence_iteration(curve_db, steady_db: float) -> Optional[int]:
+    """Smallest n with curve[m] <= steady_db + MARGIN_DB for every m >= n.
 
     Returns None when even the final sample sits above the threshold (NaN counts as above).
     """
-    if margin_db <= 0.0:
-        raise ValueError(f"margin_db must be > 0, got {margin_db}")
     c = np.asarray(curve_db, dtype=float)
-    above = np.nonzero(~(c <= steady_db + margin_db))[0]
+    above = np.nonzero(~(c <= steady_db + MARGIN_DB))[0]
     if above.size == 0:
         return 0
     n = int(above[-1]) + 1

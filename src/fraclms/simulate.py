@@ -226,7 +226,8 @@ def run_identification(
     (algorithm, plant, run), algorithm-major: row (a*S + s)*R + r is run r
     of algorithms[a] against plants[s].  Each row steps with its own
     algorithm's nu_init, nu_f_init and weight_init.  The regressor window
-    uses zero prehistory for the first tap_count - 1 samples.
+    uses zero prehistory for the first tap_count - 1 samples.  ValueError
+    lists every invalid filter config or plant, and a z not shaped like x.
 
     A row is masked at the first sample whose squared error, step size or
     NWD is not finite; the loop stops once no row's error is finite.
@@ -244,8 +245,16 @@ def run_identification(
     for plant in plants:
         if len(plant.coeffs) != k:
             raise ValueError(f"tap_count {k} does not match plant order {len(plant.coeffs)}")
-    configs = [_dispatch(spec)[1] for spec in algorithms]
     runs, n_samples = x.shape
+    truth = np.repeat([plant.coeffs for plant in plants], runs, axis=0)
+    ratio = weight_distance(np.tile(truth, (len(algorithms), 1)))  # rejects an all-zero plant
+    problems = [f"[{spec.name}] {v}" for spec in algorithms for v in spec.filter.violations()]
+    problems += [v for plant in plants for v in plant.violations()]
+    if np.shape(z) != x.shape:
+        problems.append(f"z has shape {np.shape(z)}, x has shape {x.shape}")
+    if problems:
+        raise ValueError("; ".join(problems))
+    configs = [_dispatch(spec)[1] for spec in algorithms]
     block = len(plants) * runs  # the rows of one algorithm
     rows = len(algorithms) * block
 
@@ -262,8 +271,6 @@ def run_identification(
         desired[s * runs : (s + 1) * runs] = plant_output(windows[s * runs : (s + 1) * runs], plant, z)
     # every algorithm sees the same desired signal and plant
     desired.reshape(len(algorithms), block, n_samples)[1:] = desired[:block]
-    truth = np.repeat([plant.coeffs for plant in plants], runs, axis=0)
-    ratio = weight_distance(np.tile(truth, (len(algorithms), 1)))
 
     state = FilterState(
         np.repeat(column("weight_init"), k, axis=1), column("nu_init")[:, 0], np.zeros(rows), np.zeros(rows)

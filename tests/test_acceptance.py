@@ -18,8 +18,8 @@ import pytest
 from fraclms.configfile import bundled_path, load, loads
 from fraclms.experiment import read_summary, run_experiment
 from fraclms.filters import FilterConfig, FilterState, flms_step, initial_state, predict, rvss_flms_step
+from fraclms.filters import update_step_size
 from fraclms.simulate import clean_plant_power, snr_to_variance, stream
-from fraclms.stepsize import update_step_size
 
 import transcript_oracle
 

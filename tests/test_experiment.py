@@ -490,6 +490,13 @@ class TestCli:
         labels = [node.firstChild.data for node in minidom.parseString(text).getElementsByTagName("text")]
         assert set(repeated) <= set(labels)
 
+    def test_plot_repeated_path_exits_2(self, small_run, tmp_path, capsys):
+        out, _ = small_run
+        curve, svg = str(out / "lms_10dB.csv"), tmp_path / "twice.svg"
+        assert cli.main(["plot", curve, str(out / "flms_10dB.csv"), curve, "--kind", "mse", "--out", str(svg)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"curves file given more than once: {curve}"]
+        assert not svg.exists()
+
     @pytest.mark.parametrize(
         "flag, value, low",
         [("--iter-factor", "0", "1"), ("--iter-factor", "0.5", "1"), ("--iter-factor", "nan", "1"),
@@ -552,6 +559,18 @@ class TestCli:
             assert diverged_at[cell] == sorted(diverged_at[cell])
             assert all(0 <= n < 64 for n in diverged_at[cell])
         assert (out / "summary.csv").read_text().splitlines()[0] == ",".join(SUMMARY_FIELDS)
+
+    def test_run_too_large_to_allocate_exits_2(self, tmp_path, capsys):
+        # 1e15 runs x 64 samples of float64 is 455 PiB, more than the
+        # 128 PiB of the largest (57-bit) virtual address spaces, so the
+        # first allocation fails at once
+        config = tmp_path / "tiny.config"
+        config.write_text(SMALL)
+        out = tmp_path / "o"
+        assert cli.main(["run", str(config), "--out", str(out), "--runs", str(10**15)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("aborted, output may be partial (no manifest written): ")
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("parallel", ["0", "-2"])
     def test_parallel_below_one_exits_2(self, tmp_path, capsys, parallel):

@@ -255,6 +255,32 @@ class TestRunIdentification:
         with pytest.raises(ValueError, match=match):
             run_identification(batch, [PAPER_PLANT], x, z)
 
+    @pytest.mark.parametrize(
+        "cfg, plant, z_runs, messages",
+        [
+            (scaled_config(), PAPER_PLANT, 1, ["z has shape (1, 10), x has shape (2, 10)"]),
+            (
+                scaled_config(frac_order=1.5, nu_f_init=-1.0),
+                PAPER_PLANT,
+                2,
+                ["[flms] frac_order must lie in (0, 1)", "[flms] nu_f_init must be finite and >= 0"],
+            ),
+            (
+                scaled_config(),
+                PlantSpec(coeffs=(0.9, math.nan, -0.1), disturbance_variance=-1.0),
+                2,
+                ["plant coeffs must be finite", "disturbance_variance must be >= 0"],
+            ),
+        ],
+        ids=["z_broadcast", "bad_filter", "bad_plant"],
+    )
+    def test_invalid_input_raises_listing_every_problem(self, cfg, plant, z_runs, messages):
+        x, z = np.ones((2, 10)), np.zeros((z_runs, 10))
+        with pytest.raises(ValueError) as info:
+            run_identification([AlgorithmSpec("flms", cfg)], [plant], x, z)
+        for message in messages:
+            assert message in str(info.value)
+
 
 class TestRunEnsemble:
     def test_common_random_numbers_across_algorithms(self):

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from fraclms.filters import FilterConfig
-from fraclms.stepsize import update_correlation, update_step_size
+from fraclms.filters import FilterConfig, update_correlation, update_step_size
 
 
 def params(**over):
