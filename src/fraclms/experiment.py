@@ -164,9 +164,6 @@ def run_experiment(
     if bad:
         raise ConfigError(bad)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     plants = [config.plant_at(snr) for snr in config.snr_db_list]
     shared = (plants, config.samples_per_run, config.monte_carlo_runs, config.rng_seed)
     jobs = [(group, *shared) for group in batches(config.algorithms)]
@@ -188,6 +185,9 @@ def run_experiment(
                 reports[(spec.name, snr)] = build_report(e2, nwd, runs_diverged=len(lost))
         del cells, per_snr, e2, nwd  # free this batch's runs before the next one runs
 
+    # only now: a simulation that aborts leaves no empty directory behind
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     _remove_previous_run(out)
     artifact_paths: dict = {"curves": {}, "plots": {}, "summary": "summary.csv"}
     for (name, snr), report in reports.items():

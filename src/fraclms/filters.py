@@ -8,15 +8,15 @@ update with a fractional-order gradient term; RVSS-FLMS additionally drives
 the step size from a low-pass filtered error autocorrelation (see
 :func:`update_correlation` and :func:`update_step_size`).
 
-All operations are pure: they take a state and return a new state.  Every
-update takes a leading batch axis: a state holds (K,) weights and scalar
-nu, p and prev_error for one filter, or (rows, K) weights and (rows,)
-arrays for a batch of independent filters advanced together.  The tap
-window x is (K,) or (rows, K), most recent input first.  Every row is
-computed with the same operations in the same order as a single filter,
-so a batch row is bitwise equal to that filter run alone.  An update is
-pure arithmetic and never checks its result: a diverging row turns
-non-finite, and the caller decides what that means.
+All operations are pure: they take a state and return a new state.  The
+taps are the first axis: a state holds (K,) weights and scalar nu, p and
+prev_error for one filter, or (K, rows) weights and (rows,) arrays for a
+batch of independent filters advanced together.  The tap window x is (K,)
+or (K, rows), most recent input first.  Every row is computed with the
+same operations in the same order as a single filter, so a batch row is
+bitwise equal to that filter run alone.  An update is pure arithmetic
+and never checks its result: a diverging row turns non-finite, and the
+caller decides what that means.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ class FilterState:
     """Weights, step size and error correlation of one filter or of a batch.
 
     One filter: (K,) weights and float nu, p and prev_error.  A batch:
-    (rows, K) weights and (rows,) nu, p and prev_error.
+    (K, rows) weights, a column per filter, and (rows,) nu, p, prev_error.
     """
 
     weights: np.ndarray
@@ -144,25 +144,26 @@ def initial_state(cfg: FilterConfig) -> FilterState:
 
 
 def tap_dot(a, b):
-    """Inner product over the last axis, accumulated in tap order from 0.0.
+    """Inner product over the first axis, accumulated in tap order from 0.0.
 
-    All products are formed at once, then their tap columns are added one by
-    one.  Leading axes broadcast, so one call serves a batch of rows.  Every
+    All products are formed at once, then their tap rows are added one by
+    one; trailing axes broadcast, also a (K,) a against a (K, ...) b.  Every
     inner product of the simulation goes through here, so each row is
     bit-reproducible against a plain sequential loop in python floats.
     """
-    prod = np.asarray(a, dtype=float) * b
+    a = np.asarray(a, dtype=float)
+    prod = a.reshape(a.shape + (1,) * (np.ndim(b) - a.ndim)) * b
     acc = 0.0
-    for i in range(prod.shape[-1]):
-        acc = acc + prod[..., i]
+    for i in range(len(prod)):
+        acc = acc + prod[i]
     return acc
 
 
 def predict(state: FilterState, x: np.ndarray):
     """Filter output: inner product of the weights with the tap window x, per row."""
     w = state.weights
-    if w.shape[-1] != np.shape(x)[-1]:
-        raise ValueError(f"regressor length {np.shape(x)[-1]} does not match tap count {w.shape[-1]}")
+    if len(w) != len(x):
+        raise ValueError(f"regressor length {len(x)} does not match tap count {len(w)}")
     return tap_dot(w, x)
 
 
@@ -201,16 +202,15 @@ def flms_step(
 
     w <- w + nu*e*x + nu_f*e*x*w**(1-f)/gamma(2-f).  With nu_f_init = 0
     this is exactly the plain LMS recursion.  In a batch, cfg.nu_init and
-    cfg.nu_f_init may be (rows, 1) columns, one step size per row; f stays
+    cfg.nu_f_init may be (rows,) vectors, one step size per row; f stays
     one scalar.
 
     Returns the advanced state and the prediction error of each row.
     """
     error = desired - predict(state, x)
-    e = error[..., None]
     f = cfg.frac_order
     wp = frac_power(state.weights, 1.0 - f, cfg.frac_power_policy)
-    w = state.weights + (cfg.nu_init * e) * x + (cfg.nu_f_init * e) * x * wp / math.gamma(2.0 - f)
+    w = state.weights + (cfg.nu_init * error) * x + (cfg.nu_f_init * error) * x * wp / math.gamma(2.0 - f)
     return FilterState(weights=w, nu=state.nu, p=state.p, prev_error=error), error
 
 
@@ -225,7 +225,7 @@ def rvss_flms_step(
     """
     error = desired - predict(state, x)
     wp = frac_power(state.weights, 1.0 - cfg.frac_order, cfg.frac_power_policy)
-    w = state.weights + (state.nu * error)[..., None] * x * (1.0 + wp)
+    w = state.weights + (state.nu * error) * x * (1.0 + wp)
     p = update_correlation(state.p, error, state.prev_error, cfg.alpha)
     nu = update_step_size(state.nu, p, cfg)
     return FilterState(weights=w, nu=nu, p=p, prev_error=error), error

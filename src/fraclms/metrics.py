@@ -51,10 +51,10 @@ class EnsembleReport:
 def weight_distance(truth):
     """Squared normalized weight distance to truth: est -> ||truth - est||**2 / ||truth||**2.
 
-    truth is one weight vector or one per row; its norm is computed and
-    checked once here.  An estimate has truth's shape, or leading axes
-    before it: a (C, rows, K) stack of estimates gives (C, rows) ratios,
-    each bitwise equal to the ratio of its own slice.
+    truth is one (K,) weight vector or a (K, rows) column per row; its norm
+    is computed and checked once here.  An estimate has truth's shape, or
+    more axes right after the taps: a (K, C, rows) stack of estimates gives
+    (C, rows) ratios, each bitwise equal to the ratio of its own slice.
     """
     t = np.asarray(truth, dtype=float)
     tnorm2 = tap_dot(t, t)
@@ -63,9 +63,10 @@ def weight_distance(truth):
 
     def ratio(estimated):
         e = np.asarray(estimated, dtype=float)
-        if e.shape[e.ndim - t.ndim :] != t.shape:
+        stacked = e.ndim - t.ndim
+        if stacked < 0 or e.shape[:1] + e.shape[1 + stacked :] != t.shape:
             raise ValueError(f"length mismatch: estimated {e.shape} vs truth {t.shape}")
-        d = t - e
+        d = t.reshape(t.shape[:1] + (1,) * stacked + t.shape[1:]) - e
         return tap_dot(d, d) / tnorm2
 
     return ratio

@@ -48,7 +48,7 @@ ROLE_INPUT = 0
 ROLE_DISTURBANCE = 1
 
 # run_identification measures the weight distance of CHUNK steps in one
-# call: 16 spreads its numpy call overhead thin at a (16, rows, K) buffer
+# call: 16 spreads its numpy call overhead thin at a (K, 16, rows) buffer
 CHUNK = 16
 
 
@@ -168,12 +168,12 @@ def snr_to_variance(snr_db: float, signal_power: float) -> float:
 def plant_output(x: np.ndarray, spec: PlantSpec, z):
     """Noisy plant response: coeffs . x + z * sqrt(disturbance_variance).
 
-    x holds tap windows on its last axis, newest first: one window, or one
-    per run and sample.  z holds the standard-normal disturbance draws, one
-    per window.
+    x holds tap windows on its first axis, newest first: one (K,) window,
+    or a (K, N, runs) stack of one per sample and run.  z holds the
+    standard-normal disturbance draws, one per window.
     """
-    if len(spec.coeffs) != np.shape(x)[-1]:
-        raise ValueError(f"window length {np.shape(x)[-1]} does not match plant order {len(spec.coeffs)}")
+    if len(spec.coeffs) != len(x):
+        raise ValueError(f"window length {len(x)} does not match plant order {len(spec.coeffs)}")
     return tap_dot(spec.coeffs, x) + z * math.sqrt(spec.disturbance_variance)
 
 
@@ -246,8 +246,8 @@ def run_identification(
         if len(plant.coeffs) != k:
             raise ValueError(f"tap_count {k} does not match plant order {len(plant.coeffs)}")
     runs, n_samples = x.shape
-    truth = np.repeat([plant.coeffs for plant in plants], runs, axis=0)
-    ratio = weight_distance(np.tile(truth, (len(algorithms), 1)))  # rejects an all-zero plant
+    truth = np.repeat(np.transpose([plant.coeffs for plant in plants]), runs, axis=1)  # (k, block)
+    ratio = weight_distance(np.tile(truth, len(algorithms)))  # rejects an all-zero plant
     problems = [f"[{spec.name}] {v}" for spec in algorithms for v in spec.filter.violations()]
     problems += [v for plant in plants for v in plant.violations()]
     if np.shape(z) != x.shape:
@@ -258,55 +258,54 @@ def run_identification(
     block = len(plants) * runs  # the rows of one algorithm
     rows = len(algorithms) * block
 
-    def column(field):  # one value per algorithm -> its (rows, 1) column
-        return np.repeat(np.array([getattr(cfg, field) for cfg in configs], dtype=float), block)[:, None]
+    def per_row(field):  # one value per algorithm -> its (rows,) vector
+        return np.repeat(np.array([getattr(cfg, field) for cfg in configs], dtype=float), block)
 
-    step_cfg = replace(configs[0], nu_init=column("nu_init"), nu_f_init=column("nu_f_init"))
+    step_cfg = replace(configs[0], nu_init=per_row("nu_init"), nu_f_init=per_row("nu_f_init"))
 
-    padded = np.zeros((rows, k - 1 + n_samples))
-    padded.reshape(len(algorithms), len(plants), runs, -1)[..., k - 1 :] = x
-    windows = sliding_window_view(padded, k, axis=1)[..., ::-1]  # (rows, N, K), newest first
-    desired = np.empty((rows, n_samples))
-    for s, plant in enumerate(plants):
-        desired[s * runs : (s + 1) * runs] = plant_output(windows[s * runs : (s + 1) * runs], plant, z)
-    # every algorithm sees the same desired signal and plant
-    desired.reshape(len(algorithms), block, n_samples)[1:] = desired[:block]
+    # the input newest first over k - 1 zeros: sample n's window is the block latest[N-1-n : N-1-n+k]
+    latest = np.zeros((n_samples + k - 1, rows))
+    latest.reshape(-1, len(algorithms) * len(plants), runs)[:n_samples] = x.T[::-1, None]
+    windows = np.moveaxis(sliding_window_view(latest[:, :runs], k, axis=0)[::-1], -1, 0)  # (k, N, runs)
+    desired = np.empty((n_samples, rows))
+    for s, plant in enumerate(plants):  # every algorithm sees the same desired signal and plant
+        desired.reshape(n_samples, len(algorithms), -1, runs)[:, :, s] = plant_output(windows, plant, z.T)[:, None]
 
-    state = FilterState(
-        np.repeat(column("weight_init"), k, axis=1), column("nu_init")[:, 0], np.zeros(rows), np.zeros(rows)
-    )
-    e2 = desired  # a step consumes its column of desired; its error, then squared error, overwrites it
-    distance = np.empty((rows, n_samples))
-    nu = np.empty((rows, n_samples))
-    recent = np.empty((CHUNK, rows, k))  # the weights after each step of a chunk, time-major
+    state = FilterState(np.tile(per_row("weight_init"), (k, 1)), per_row("nu_init"), np.zeros(rows), np.zeros(rows))
+    e2 = desired  # a step consumes its row of desired; its error, then squared error, overwrites it
+    distance = np.empty((n_samples, rows))
+    nu = np.empty((n_samples, rows)) if step_fn is rvss_flms_step else None  # flms_step keeps nu_init
+    recent = np.empty((k, CHUNK, rows))  # the weights after each step of a chunk
     done = n_samples
     with np.errstate(all="ignore"):
         for start in range(0, n_samples, CHUNK):
             for n in range(start, min(start + CHUNK, n_samples)):
-                state, err = step_fn(state, windows[:, n], desired[:, n], step_cfg)
-                e2[:, n] = err
-                recent[n - start] = state.weights
-                nu[:, n] = state.nu
+                state, err = step_fn(state, latest[n_samples - 1 - n : n_samples - 1 - n + k], desired[n], step_cfg)
+                e2[n] = err
+                recent[:, n - start] = state.weights
+                if nu is not None:
+                    nu[n] = state.nu
                 if not np.count_nonzero(np.isfinite(err)):  # every row is masked by now: stop early
                     done = n + 1
                     break
-            distance[:, start : n + 1] = ratio(recent[: n + 1 - start]).T
+            distance[start : n + 1] = ratio(recent[:, : n + 1 - start])
             if n + 1 == done:
                 break
-        np.multiply(e2[:, :done], e2[:, :done], out=e2[:, :done])
-    del windows, padded  # free the input before the dB conversion allocates
+        np.multiply(e2[:done], e2[:done], out=e2[:done])
+    del latest, windows  # free the input before the dB conversion allocates
 
     # a row is masked at its first non-finite sample; n_samples: it stayed finite
-    bad = np.ones((rows, done + 1), dtype=bool)
-    bad[:, :done] = ~(np.isfinite(e2[:, :done]) & np.isfinite(distance[:, :done]) & np.isfinite(nu[:, :done]))
-    masked_at = bad.argmax(axis=1)
+    bad = ~(np.isfinite(e2[:done]) & np.isfinite(distance[:done]))
+    if nu is not None:
+        bad |= ~np.isfinite(nu[:done])
+    masked_at = np.where(bad.any(axis=0), bad.argmax(axis=0), n_samples)
     del bad, nu  # free them before the kept rows are copied out
 
     cells = [[] for _ in algorithms]
-    for first in range(0, rows, runs):  # one (algorithm, plant) cell per block of runs
+    for first in range(0, rows, runs):  # a cell per block of runs; .T[kept] copies its runs out C-ordered
         lost = masked_at[first : first + runs]
         kept = first + np.flatnonzero(lost == n_samples)
-        cells[first // block].append((e2[kept], nwd_db(distance[kept]), sorted(lost[lost < n_samples].tolist())))
+        cells[first // block].append((e2.T[kept], nwd_db(distance.T[kept]), sorted(lost[lost < n_samples].tolist())))
     return cells
 
 

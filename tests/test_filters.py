@@ -19,6 +19,7 @@ from fraclms.filters import (
     initial_state,
     predict,
     rvss_flms_step,
+    tap_dot,
 )
 
 # closed forms, cross-checked against quadrature in TestGamma
@@ -82,6 +83,33 @@ class TestPredict:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="tap count"):
             predict(state_with([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
+
+
+class TestTapDot:
+    """A batch call sums over the taps on axis 0, each column bitwise as a call of its own."""
+
+    @staticmethod
+    def bits(values):
+        return np.asarray(values, dtype=float).view(np.int64)
+
+    def test_batch_of_columns(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=(2, 3, 6))
+        a[:, 0], b[:, 0] = (0.0, -0.0, 2.0), (5.0, 3.0, -1.5)  # products 0.0, -0.0 and -3.0
+        a[:, 1], b[:, 1] = -0.0, 4.0  # every product -0.0
+        got = tap_dot(a, b)
+        assert got.shape == (6,)
+        assert np.array_equal(self.bits(got), self.bits([tap_dot(a[:, j], b[:, j]) for j in range(6)]))
+
+    def test_coefficient_vector_meets_every_window(self):
+        rng = np.random.default_rng(4)
+        coeffs = np.array([0.5, -0.0, -1.25])
+        windows = rng.normal(size=(3, 5, 4))
+        windows[:, 2, 1] = 0.0, 7.0, 2.0  # products 0.0, -0.0 and -2.5
+        got = tap_dot(coeffs, windows)
+        assert got.shape == (5, 4)
+        each = [[tap_dot(coeffs, windows[:, n, r]) for r in range(4)] for n in range(5)]
+        assert np.array_equal(self.bits(got), self.bits(each))
 
 
 class TestIntegerGradient:

@@ -25,12 +25,13 @@ from fraclms.simulate import ALGORITHMS, AlgorithmSpec, ExperimentConfig, PlantS
 
 unit = st.floats(0.05, 0.95)
 
-# traced peak of one merged LMS+FLMS batch, in (rows, N) float arrays:
-# 4.83 measured with numpy 2.4, of which about 0.25 is the weights of one
-# CHUNK of steps and their distance temporaries; with the (rows, N, K)
-# tap windows copied out of their strided view it reads 7.83.  Where no
-# run diverges (paper-x60) it reads 5.14, and 6.27 if nu is still held
-# while the kept rows are copied out
+# traced peak of one merged LMS+FLMS batch, in (N, rows) float arrays,
+# measured with numpy 2.4: 4.05 on the edge batch, of which about 0.25 is
+# the weights of one CHUNK of steps and their distance temporaries.  Where
+# no run diverges (paper-x60) every run is copied out and it reads 5.14,
+# and 6.15 if the time-reversed input is still held while the kept rows
+# are copied out.  With the (K, N, rows) tap windows copied out of their
+# view both read 6.83
 MEMORY_ROW_ARRAYS = 5.5
 
 
@@ -183,9 +184,10 @@ def test_frac_order_override_splits_the_batch(lms_order, batched, tmp_path, monk
 
 
 def test_merged_batch_memory_is_a_few_row_arrays():
-    # The kernel keeps about four (rows, N) float arrays: the padded input,
-    # desired turned squared error, the weight distance and nu.  A (rows,
-    # N, K) copy of the tap windows, or a weight history, adds K more.
+    # The kernel keeps about three (N, rows) float arrays: the time-reversed
+    # input, desired turned squared error and the weight distance, and nu
+    # on the RVSS-FLMS batch alone.  A (K, N, rows) copy of the tap windows,
+    # or a weight history, adds K more.
     paper_x60 = load(bundled_path("paper-x60.config"))
     batches = {
         "edge": (
@@ -241,14 +243,14 @@ def test_step_never_raises_and_rows_stay_independent():
         tap_count=1, frac_order=0.5, nu_init=1.0, nu_f_init=0.0, nu_min=0.5, nu_max=2.0,
         alpha=0.5, beta=0.5, gamma=0.5,
     )
-    state = FilterState(np.zeros((2, 1)), np.ones(2), np.zeros(2), np.zeros(2))
-    state.weights[:, 0] = 1e200, 0.3
+    state = FilterState(np.zeros((1, 2)), np.ones(2), np.zeros(2), np.zeros(2))
+    state.weights[0] = 1e200, 0.3
     alone = initial_state(cfg)
     alone.weights[0] = 0.3
     with np.errstate(all="ignore"):
-        new, _ = flms_step(state, np.array([[1e200], [0.7]]), np.array([0.0, 1.1]), cfg)
-        assert not np.isfinite(new.weights[0]).any()
-        assert np.array_equal(new.weights[1], flms_step(alone, np.array([0.7]), 1.1, cfg)[0].weights)
-        state.weights[1] = 1e200
-        new, err = flms_step(state, np.full((2, 1), 1e200), np.zeros(2), cfg)
+        new, _ = flms_step(state, np.array([[1e200, 0.7]]), np.array([0.0, 1.1]), cfg)
+        assert not np.isfinite(new.weights[:, 0]).any()
+        assert np.array_equal(new.weights[:, 1], flms_step(alone, np.array([0.7]), 1.1, cfg)[0].weights)
+        state.weights[:, 1] = 1e200
+        new, err = flms_step(state, np.full((1, 2), 1e200), np.zeros(2), cfg)
     assert not np.isfinite(err).any() and not np.isfinite(new.weights).any()

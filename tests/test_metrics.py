@@ -79,17 +79,17 @@ class TestNwdDb:
 
     def test_stack_of_estimates_equals_per_slice(self):
         rng = np.random.default_rng(5)
-        truth = rng.normal(size=(4, 3))
-        stack = truth + rng.normal(scale=1e-3, size=(7, 4, 3))
+        truth = rng.normal(size=(3, 4))
+        stack = truth[:, None] + rng.normal(scale=1e-3, size=(3, 7, 4))
         ratio = weight_distance(truth)
         got = ratio(stack)
         assert got.shape == (7, 4)
         for c in range(7):
-            assert np.array_equal(got[c].view(np.int64), ratio(stack[c]).view(np.int64))
+            assert np.array_equal(got[c].view(np.int64), ratio(stack[:, c]).view(np.int64))
         with pytest.raises(ValueError):
-            ratio(stack[..., :2])
+            ratio(stack[:2])
         with pytest.raises(ValueError):
-            ratio(stack[:, :3])
+            ratio(stack[..., :3])
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(8)

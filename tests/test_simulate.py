@@ -122,7 +122,7 @@ class TestPlantOutput:
     def test_disturbance_variance_calibration(self):
         spec = PlantSpec(coeffs=(1.0,), disturbance_variance=0.01)
         rng = stream(7, 0, ROLE_DISTURBANCE)
-        zero_windows = np.zeros((100_000, 1))
+        zero_windows = np.zeros((1, 100_000))
         draws = plant_output(zero_windows, spec, rng.standard_normal(100_000))
         assert 0.0093 < float(np.var(draws)) < 0.0107
 
