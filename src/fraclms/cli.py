@@ -27,10 +27,7 @@ def _resolve_input(path_str: str) -> Path:
     path = Path(path_str)
     if path.exists():
         return path
-    try:
-        bundled = bundled_path(path_str)
-    except (FileNotFoundError, ModuleNotFoundError):
-        return path
+    bundled = bundled_path(path_str)
     if bundled.exists():
         print(f"note: using bundled {path_str}")
         return bundled
@@ -49,7 +46,7 @@ def _cmd_run(args) -> int:
             runs=args.runs,
             parallel=args.parallel,
         )
-    except ConfigError as exc:
+    except (ConfigError, NotADirectoryError) as exc:  # raised before anything ran
         print(str(exc), file=sys.stderr)
         return 2
     except (OSError, MemoryError) as exc:

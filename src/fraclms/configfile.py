@@ -20,6 +20,8 @@ Plain INI-style text with three section kinds::
     [filter.rvss-flms]               # optional per-algorithm overrides
     nu_max = 3e-4
 
+The [filter] keys are the fields of FilterConfig, each read as its
+annotated type, and all of them but frac_power_policy are required.
 Unknown sections or keys are hard errors, as is any violated invariant;
 all problems found in one file are reported together.
 """
@@ -31,29 +33,29 @@ import io
 import math
 from dataclasses import asdict
 from pathlib import Path
+from typing import get_type_hints
 
 from .filters import FilterConfig, FracPowerPolicy
 from .simulate import ALGORITHMS, AlgorithmSpec, ExperimentConfig, PlantSpec
 
 __all__ = ["ConfigError", "loads", "dumps", "load", "bundled_path"]
 
-_EXPERIMENT_KEYS = ("snr_db", "samples_per_run", "monte_carlo_runs", "rng_seed", "algorithms")
-_PLANT_KEYS = ("coeffs",)
-_FILTER_REQUIRED = (
-    "tap_count",
-    "frac_order",
-    "nu_init",
-    "nu_f_init",
-    "nu_min",
-    "nu_max",
-    "alpha",
-    "beta",
-    "gamma",
-    "weight_init",
-)
-_FILTER_KEYS = _FILTER_REQUIRED + ("frac_power_policy",)
-
-_INT_KEYS = {"samples_per_run", "monte_carlo_runs", "rng_seed", "tap_count"}
+# The kind of each key's value: int, float, str or FracPowerPolicy, or a
+# one-tuple of one of them for a comma-separated list.
+_SECTIONS = {
+    "experiment": {
+        "snr_db": (float,),
+        "samples_per_run": int,
+        "monte_carlo_runs": int,
+        "rng_seed": int,
+        "algorithms": (str,),
+    },
+    "plant": {"coeffs": (float,)},
+}
+# [filter] is FilterConfig: a key per field, in declaration order except that
+# the optional keys, which may be left to the field's default, come last
+_FILTER_OPTIONAL = ("frac_power_policy",)
+_FILTER = dict(sorted(get_type_hints(FilterConfig).items(), key=lambda item: item[0] in _FILTER_OPTIONAL))
 
 
 class ConfigError(ValueError):
@@ -64,58 +66,34 @@ class ConfigError(ValueError):
         super().__init__("invalid config:\n  " + "\n  ".join(self.problems))
 
 
-def _parse_float(text: str, where: str, problems: list[str]) -> float:
+def _value(kind, text: str, where: str, problems: list[str]):
+    """text read as kind; an invalid value goes to problems and reads as a placeholder."""
+    if isinstance(kind, tuple):
+        return tuple(_value(kind[0], item.strip(), where, problems) for item in text.split(",") if item.strip())
     try:
-        return float(text)
+        return kind(text)
     except ValueError:
-        problems.append(f"{where}: not a number: {text!r}")
-        return math.nan
+        pass
+    if kind is FracPowerPolicy:
+        problems.append(f"{where} must be one of {[p.value for p in FracPowerPolicy]}, got {text!r}")
+        return FracPowerPolicy.SIGNED_MAGNITUDE
+    problems.append(f"{where}: not {'an integer' if kind is int else 'a number'}: {text!r}")
+    return 0 if kind is int else math.nan
 
 
-def _parse_int(text: str, where: str, problems: list[str]) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        problems.append(f"{where}: not an integer: {text!r}")
-        return 0
-
-
-def _parse_list(text: str) -> list[str]:
-    return [item.strip() for item in text.split(",") if item.strip()]
-
-
-def _check_keys(values, where, allowed, required, problems) -> dict[str, str]:
-    """The allowed keys of values; unknown and missing keys go to problems.
+def _check_keys(values, where, kinds, optional, problems) -> dict[str, str]:
+    """The keys of values that kinds names; unknown keys, and missing ones
+    not in optional, go to problems.
 
     A missing key gets a parseable placeholder so that later checks still run.
     """
-    problems.extend(f"{where}: unknown key {key!r}" for key in values if key not in allowed)
-    known = {key: raw for key, raw in values.items() if key in allowed}
-    for key in required:
-        if key not in known:
+    problems.extend(f"{where}: unknown key {key!r}" for key in values if key not in kinds)
+    known = {key: raw for key, raw in values.items() if key in kinds}
+    for key in kinds:
+        if key not in known and key not in optional:
             problems.append(f"{where}: missing required key {key!r}")
-            known[key] = "0.5" if key in _FILTER_KEYS and key not in _INT_KEYS else "1"
+            known[key] = "0.5" if kinds[key] is float else "1"
     return known
-
-
-def _filter_from_section(values: dict[str, str], where: str, problems: list[str]) -> FilterConfig:
-    kwargs = {}
-    values = _check_keys(values, where, _FILTER_KEYS, _FILTER_REQUIRED, problems)
-    for key, raw in values.items():
-        if key == "frac_power_policy":
-            try:
-                kwargs[key] = FracPowerPolicy(raw)
-            except ValueError:
-                problems.append(
-                    f"{where}: frac_power_policy must be one of "
-                    f"{[p.value for p in FracPowerPolicy]}, got {raw!r}"
-                )
-                kwargs[key] = FracPowerPolicy.SIGNED_MAGNITUDE
-        elif key in _INT_KEYS:
-            kwargs[key] = _parse_int(raw, f"{where}: {key}", problems)
-        else:
-            kwargs[key] = _parse_float(raw, f"{where}: {key}", problems)
-    return FilterConfig(**kwargs)
 
 
 def loads(text: str) -> ExperimentConfig:
@@ -143,42 +121,34 @@ def loads(text: str) -> ExperimentConfig:
     if problems:
         raise ConfigError(problems)
 
-    exp = _check_keys(parser["experiment"], "[experiment]", _EXPERIMENT_KEYS, _EXPERIMENT_KEYS, problems)
-    plant_sec = _check_keys(parser["plant"], "[plant]", _PLANT_KEYS, _PLANT_KEYS, problems)
-    base_sec = _check_keys(parser["filter"], "[filter]", _FILTER_KEYS, (), problems)
-
-    snr_db = tuple(
-        _parse_float(s, "[experiment]: snr_db", problems) for s in _parse_list(exp["snr_db"])
-    )
-    samples = _parse_int(exp["samples_per_run"], "[experiment]: samples_per_run", problems)
-    runs = _parse_int(exp["monte_carlo_runs"], "[experiment]: monte_carlo_runs", problems)
-    seed = _parse_int(exp["rng_seed"], "[experiment]: rng_seed", problems)
-    algo_names = _parse_list(exp["algorithms"])
-
-    coeffs = tuple(
-        _parse_float(s, "[plant]: coeffs", problems) for s in _parse_list(plant_sec["coeffs"])
+    checked = {name: _check_keys(parser[name], f"[{name}]", kinds, (), problems) for name, kinds in _SECTIONS.items()}
+    base_sec = _check_keys(parser["filter"], "[filter]", _FILTER, _FILTER, problems)
+    exp, plant = (
+        {key: _value(kind, checked[name][key], f"[{name}]: {key}", problems) for key, kind in kinds.items()}
+        for name, kinds in _SECTIONS.items()
     )
 
     for section in parser.sections():
-        if section.startswith("filter.") and section[len("filter."):] not in algo_names:
+        if section.startswith("filter.") and section[len("filter."):] not in exp["algorithms"]:
             problems.append(f"section [{section}] has no matching entry in [experiment] algorithms")
 
     algorithms = []
-    for name in algo_names:
+    for name in exp["algorithms"]:
         values = dict(base_sec)
         override = f"filter.{name}"
         if override in parser:
-            values.update(_check_keys(parser[override], f"[{override}]", _FILTER_KEYS, (), problems))
-        algorithms.append(
-            AlgorithmSpec(name=name, filter=_filter_from_section(values, f"filter for {name!r}", problems))
-        )
+            values.update(_check_keys(parser[override], f"[{override}]", _FILTER, _FILTER, problems))
+        where = f"filter for {name!r}"
+        values = _check_keys(values, where, _FILTER, _FILTER_OPTIONAL, problems)
+        kwargs = {key: _value(_FILTER[key], raw, f"{where}: {key}", problems) for key, raw in values.items()}
+        algorithms.append(AlgorithmSpec(name=name, filter=FilterConfig(**kwargs)))
 
     config = ExperimentConfig(
-        plant=PlantSpec(coeffs=coeffs, disturbance_variance=0.0),
-        snr_db_list=snr_db,
-        samples_per_run=samples,
-        monte_carlo_runs=runs,
-        rng_seed=seed,
+        plant=PlantSpec(coeffs=plant["coeffs"], disturbance_variance=0.0),
+        snr_db_list=exp["snr_db"],
+        samples_per_run=exp["samples_per_run"],
+        monte_carlo_runs=exp["monte_carlo_runs"],
+        rng_seed=exp["rng_seed"],
         algorithms=tuple(algorithms),
     )
     problems.extend(config.violations())
@@ -210,13 +180,13 @@ def dumps(config: ExperimentConfig) -> str:
     base = config.algorithms[0].filter
     base_dict = asdict(base)
     out.write("\n[filter]\n")
-    for key in _FILTER_KEYS:
+    for key in _FILTER:
         out.write(f"{key} = {_fmt(base_dict[key])}\n")
     for spec in config.algorithms:
         diff = {k: v for k, v in asdict(spec.filter).items() if v != base_dict[k]}
         if diff:
             out.write(f"\n[filter.{spec.name}]\n")
-            for key in _FILTER_KEYS:
+            for key in _FILTER:
                 if key in diff:
                     out.write(f"{key} = {_fmt(diff[key])}\n")
     return out.getvalue()
@@ -231,8 +201,4 @@ def load(path) -> ExperimentConfig:
 
 def bundled_path(name: str) -> Path:
     """Path of a data file shipped with the package (e.g. 'paper.config')."""
-    from importlib import resources
-
-    candidate = resources.files("fraclms") / "data" / name
-    with resources.as_file(candidate) as p:
-        return Path(p)
+    return Path(__file__).parent / "data" / name

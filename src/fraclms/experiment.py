@@ -163,6 +163,11 @@ def run_experiment(
     bad = config.violations()
     if bad:
         raise ConfigError(bad)
+    # out_dir is made only after the grid has run: refuse a file in its place now
+    out = Path(out_dir)
+    blocker = next(path for path in (out, *out.parents) if path.exists())
+    if not blocker.is_dir():
+        raise NotADirectoryError(f"output directory {out}: {blocker} is not a directory")
 
     plants = [config.plant_at(snr) for snr in config.snr_db_list]
     shared = (plants, config.samples_per_run, config.monte_carlo_runs, config.rng_seed)
@@ -186,7 +191,6 @@ def run_experiment(
         del cells, per_snr, e2, nwd  # free this batch's runs before the next one runs
 
     # only now: a simulation that aborts leaves no empty directory behind
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _remove_previous_run(out)
     artifact_paths: dict = {"curves": {}, "plots": {}, "summary": "summary.csv"}
@@ -365,42 +369,22 @@ def compare_to_reference(
     for key in sorted(summary):
         if key not in reference:
             continue
-        ours, ref = summary[key], reference[key]
         algo, snr = key
-        for quantity in ("steady_mse_db", "steady_nwd_db"):
-            diff = ours[quantity] - ref[quantity]
-            cells.append(
-                CellCheck(
-                    algorithm=algo,
-                    snr_db=snr,
-                    quantity=quantity,
-                    observed=ours[quantity],
-                    reference=ref[quantity],
-                    passed=abs(diff) <= mse_tol_db,
-                    detail=f"diff {diff:+.2f} dB vs tolerance +-{mse_tol_db:g} dB",
-                )
-            )
-            if quantity == "steady_nwd_db":
-                nwd_diffs.setdefault(algo, []).append(diff)
-        for quantity in ("mse_conv_iter", "nwd_conv_iter"):
-            obs, refv = ours[quantity], ref[quantity]
-            if obs is None or refv is None:
+        for quantity in ("steady_mse_db", "steady_nwd_db", "mse_conv_iter", "nwd_conv_iter"):
+            obs, refv = summary[key][quantity], reference[key][quantity]
+            if quantity.endswith("_db"):  # a level: an absolute tolerance in dB
+                diff = obs - refv
+                ok = abs(diff) <= mse_tol_db
+                detail = f"diff {diff:+.2f} dB vs tolerance +-{mse_tol_db:g} dB"
+                if quantity == "steady_nwd_db":
+                    nwd_diffs.setdefault(algo, []).append(diff)
+            elif obs is None or refv is None:  # an iteration that was never reached
                 ok = obs is refv
                 detail = f"observed {obs} vs reference {refv}"
-            else:
+            else:  # an iteration: a multiplicative tolerance
                 ok = refv / iter_factor <= obs <= refv * iter_factor
                 detail = f"observed {obs} vs reference {refv} (factor {iter_factor:g})"
-            cells.append(
-                CellCheck(
-                    algorithm=algo,
-                    snr_db=snr,
-                    quantity=quantity,
-                    observed=obs,
-                    reference=refv,
-                    passed=ok,
-                    detail=detail,
-                )
-            )
+            cells.append(CellCheck(algo, snr, quantity, obs, refv, ok, detail))
 
     offsets = {algo: sum(d) / len(d) for algo, d in sorted(nwd_diffs.items())}
     return ComparisonReport(

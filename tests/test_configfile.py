@@ -1,11 +1,15 @@
 """Tests for the experiment config format: parsing, validation, round-trip."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
 from fraclms.configfile import ConfigError, bundled_path, dumps, load, loads
-from fraclms.filters import FracPowerPolicy
+from fraclms.filters import FilterConfig, FracPowerPolicy
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 GOOD = """\
 [experiment]
@@ -165,3 +169,23 @@ def test_effective_config_survives_replace():
     cfg = loads(GOOD)
     bumped = dataclasses.replace(cfg, rng_seed=99)
     assert loads(dumps(bumped)).rng_seed == 99
+
+
+def _filter_keys(text):
+    """The keys of the [filter] section of config text, in file order."""
+    section = re.search(r"^\[filter\][^\n]*\n(.*?)(?=^\[|\Z)", text, flags=re.M | re.S).group(1)
+    return re.findall(r"^(\w+)\s*=", section, flags=re.M)
+
+
+def test_dumps_keeps_the_bundled_key_order():
+    path = bundled_path("paper.config")
+    expected = _filter_keys(path.read_text(encoding="utf-8"))
+    assert expected[-2:] == ["weight_init", "frac_power_policy"]  # not FilterConfig's declaration order
+    assert _filter_keys(dumps(load(path))) == expected
+
+
+def test_readme_config_example_is_the_derived_format():
+    readme = README.read_text(encoding="utf-8")
+    example = re.search(r"^## Config format$.*?^```ini\n(.*?)^```$", readme, flags=re.M | re.S).group(1)
+    loads(example)
+    assert sorted(_filter_keys(example)) == sorted(field.name for field in dataclasses.fields(FilterConfig))

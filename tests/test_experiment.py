@@ -572,6 +572,21 @@ class TestCli:
         assert err.startswith("aborted, output may be partial (no manifest written): ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("out_name", ["taken", "taken/sub"])
+    def test_out_blocked_by_a_file_exits_2_before_simulating(self, tmp_path, capsys, monkeypatch, out_name):
+        def refuse(*args):
+            raise AssertionError("simulated although --out cannot be made")
+
+        monkeypatch.setattr(experiment, "run_ensemble", refuse)
+        config = tmp_path / "tiny.config"
+        config.write_text(SMALL)
+        (tmp_path / "taken").write_text("not a directory")
+        out = tmp_path / out_name
+        assert cli.main(["run", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"output directory {out}: {tmp_path / 'taken'} is not a directory"]
+        assert (tmp_path / "taken").read_text() == "not a directory"
+
     @pytest.mark.parametrize("parallel", ["0", "-2"])
     def test_parallel_below_one_exits_2(self, tmp_path, capsys, parallel):
         config = tmp_path / "tiny.config"
