@@ -197,6 +197,8 @@ def load(path) -> ExperimentConfig:
         return loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ConfigError([f"{path}: not UTF-8 text"]) from exc
+    except OSError as exc:  # missing, a directory, unreadable: nothing has run yet
+        raise ConfigError([f"{path}: {exc.strerror}"]) from exc
 
 
 def bundled_path(name: str) -> Path:

@@ -43,16 +43,22 @@ __all__ = [
     "compare_to_reference",
 ]
 
-SUMMARY_FIELDS = (
-    "algorithm",
-    "snr_db",
-    "steady_mse_db",
-    "mse_conv_iter",
-    "steady_nwd_db",
-    "nwd_conv_iter",
-    "runs_used",
-    "runs_diverged",
-)
+# each kind of summary measure as (how run writes it, how verify reads it back)
+_LEVEL = (float.__repr__, float)
+_ITERATION = (lambda v: "none" if v is None else str(v), lambda text: None if text == "none" else int(text))
+_COUNT = (str, int)
+
+# each summary.csv column after algorithm and snr_db: the EnsembleReport field of that name
+_SUMMARY_COLUMNS = {
+    "steady_mse_db": _LEVEL,
+    "mse_conv_iter": _ITERATION,
+    "steady_nwd_db": _LEVEL,
+    "nwd_conv_iter": _ITERATION,
+    "runs_used": _COUNT,
+    "runs_diverged": _COUNT,
+}
+
+SUMMARY_FIELDS = ("algorithm", "snr_db", *_SUMMARY_COLUMNS)
 
 CURVE_FIELDS = ("iteration", "mse_db", "nwd_db")
 
@@ -92,14 +98,6 @@ class ExperimentManifest:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
-
-
-def _fmt_float(v: float) -> str:
-    return repr(float(v))
-
-
-def _fmt_iter(v: Optional[int]) -> str:
-    return "none" if v is None else str(v)
 
 
 def _snr_tag(snr: float) -> str:
@@ -237,23 +235,9 @@ def _write_summary(path: Path, reports) -> None:
     buf = io.StringIO()
     buf.write(",".join(SUMMARY_FIELDS) + "\n")
     for name, snr in sorted(reports):
-        r = reports[(name, snr)]
-        row = (
-            LABELS[name],
-            f"{snr:g}",
-            _fmt_float(r.steady_mse_db),
-            _fmt_iter(r.mse_conv_iter),
-            _fmt_float(r.steady_nwd_db),
-            _fmt_iter(r.nwd_conv_iter),
-            str(r.runs_used),
-            str(r.runs_diverged),
-        )
-        buf.write(",".join(row) + "\n")
+        measures = [fmt(getattr(reports[(name, snr)], col)) for col, (fmt, _) in _SUMMARY_COLUMNS.items()]
+        buf.write(",".join([LABELS[name], f"{snr:g}", *measures]) + "\n")
     path.write_text(buf.getvalue(), encoding="utf-8")
-
-
-def _parse_iter(text: str) -> Optional[int]:
-    return None if text == "none" else int(text)
 
 
 def _field(raw: dict, name: str, where: str, parse=float):
@@ -293,18 +277,15 @@ def _read_table(path, fields, kind: str) -> list[dict]:
     rows = []
     seen = set()
     for where, raw in _csv_rows(path, fields, kind):
-        row = {"algorithm": raw["algorithm"]}
-        for name in ("snr_db", "steady_mse_db", "steady_nwd_db"):
-            row[name] = _field(raw, name, where)
-        key = (row["algorithm"], row["snr_db"])
+        key = (raw["algorithm"], _field(raw, "snr_db", where))
         if key in seen:
             raise FormatError(f"{where}: duplicate row for {key[0]} at {key[1]:g} dB")
         seen.add(key)
-        for name in ("mse_conv_iter", "nwd_conv_iter"):
-            row[name] = _field(raw, name, where, _parse_iter)
-        for name in ("runs_used", "runs_diverged"):
+        row = {"algorithm": key[0], "snr_db": key[1]}
+        # a reference table has no run counts; its time_s column is not read
+        for name, (_, parse) in _SUMMARY_COLUMNS.items():
             if name in raw:
-                row[name] = _field(raw, name, where, int)
+                row[name] = _field(raw, name, where, parse)
         rows.append(row)
     return rows
 

@@ -102,7 +102,7 @@ class ExperimentConfig:
             bad.append("snr_db list must be non-empty")
         elif not all(math.isfinite(s) for s in self.snr_db_list):
             bad.append(f"snr_db values must be finite, got {self.snr_db_list}")
-        elif not self.plant.violations():
+        elif not bad:  # the plant is valid
             for snr in self.snr_db_list:
                 try:
                     variance = self.plant_at(snr).disturbance_variance
@@ -110,8 +110,10 @@ class ExperimentConfig:
                     variance = math.nan
                 if not (math.isfinite(variance) and variance > 0.0):
                     bad.append(f"snr_db value {snr:g} gives no finite nonzero disturbance variance")
-        for snr in sorted({s for s in self.snr_db_list if self.snr_db_list.count(s) > 1}):
-            bad.append(f"snr_db value {snr:g} listed twice")
+        # artifacts name an SNR by its :g tag, so values that share one collide (+ 0.0 folds -0.0 into 0.0)
+        tags = [f"{s + 0.0:g}" for s in self.snr_db_list]
+        for tag in sorted({t for t in tags if tags.count(t) > 1}, key=float):
+            bad.append(f"snr_db value {tag} listed twice")
         if self.monte_carlo_runs < 1:
             bad.append(f"monte_carlo_runs must be >= 1, got {self.monte_carlo_runs}")
         if not 0 <= self.rng_seed < 2**64:

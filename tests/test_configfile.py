@@ -139,6 +139,13 @@ def test_repeated_snr_is_error():
         loads(GOOD.replace("snr_db = 10, 20", "snr_db = 20, 20"))
 
 
+@pytest.mark.parametrize("snrs, tag", [("10, 10.0000001", "10"), ("-0, 0", "0")])
+def test_snrs_sharing_an_artifact_tag_are_an_error(snrs, tag):
+    # both would write every *_<tag>dB file and the same summary.csv row
+    with pytest.raises(ConfigError, match=f"snr_db value {tag} listed twice"):
+        loads(GOOD.replace("snr_db = 10, 20", f"snr_db = {snrs}"))
+
+
 def test_all_zero_plant_is_error():
     with pytest.raises(ConfigError, match="must not all be zero"):
         loads(GOOD.replace("coeffs = 0.9, 0.3, -0.1", "coeffs = 0, 0, 0"))

@@ -1,7 +1,11 @@
 """End-to-end tests for the experiment runner, file formats, plots and CLI."""
 
+import errno
 import json
 import math
+import os
+import re
+from pathlib import Path
 from xml.dom import minidom
 
 import numpy as np
@@ -12,7 +16,9 @@ from fraclms.configfile import bundled_path, loads
 from fraclms.experiment import (
     FormatError,
     LABELS,
+    REFERENCE_FIELDS,
     SUMMARY_FIELDS,
+    _write_summary,
     compare_to_reference,
     read_reference,
     read_summary,
@@ -312,6 +318,22 @@ class TestCompareToReference:
         with pytest.raises(FormatError, match=f"{which}:2: "):
             compare_to_reference(tmp_path / "summary.csv", tmp_path / "self.reference")
 
+    def test_summary_round_trips_every_report_field(self, tmp_path):
+        finite = EnsembleReport(
+            np.empty(0), np.empty(0), -12.345678901234567, None, -0.1 - 0.2, 599, runs_used=7, runs_diverged=3
+        )
+        diverged = EnsembleReport(np.empty(0), np.empty(0), math.nan, None, math.nan, None, 0, runs_diverged=5)
+        _write_summary(tmp_path / "summary.csv", {("flms", 2.5): finite, ("lms", -10.0): diverged})
+        rows = {(r["algorithm"], r["snr_db"]): r for r in read_summary(tmp_path / "summary.csv")}
+        assert sorted(rows) == [("FLMS", 2.5), ("LMS", -10.0)]
+        for key, report in ((("FLMS", 2.5), finite), (("LMS", -10.0), diverged)):
+            for name in SUMMARY_FIELDS[2:]:
+                got, want = rows[key][name], getattr(report, name)
+                if isinstance(want, float):  # bit-equal, nan included
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes(), name
+                else:
+                    assert got == want and type(got) is type(want), name
+
     def test_schema_mismatch_raises(self, small_run, tmp_path):
         out, _ = small_run
         with pytest.raises(FormatError):
@@ -332,6 +354,13 @@ def constant_report(level, n=20):
         runs_used=1,
         runs_diverged=0,
     )
+
+
+def test_readme_quotes_the_summary_and_reference_headers():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"^## Command line$(.*?)^## ", readme, flags=re.M | re.S).group(1)
+    headers = re.findall(r"`(algorithm,snr_db,[a-z_,]+)`", section)
+    assert headers == [",".join(SUMMARY_FIELDS), ",".join(REFERENCE_FIELDS)]
 
 
 class TestPlots:
@@ -586,6 +615,26 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"output directory {out}: {tmp_path / 'taken'} is not a directory"]
         assert (tmp_path / "taken").read_text() == "not a directory"
+
+    def test_snrs_sharing_a_tag_exit_2_before_simulating(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("simulated a grid whose artifacts would collide")
+
+        monkeypatch.setattr(experiment, "run_ensemble", refuse)
+        config = tmp_path / "tiny.config"
+        config.write_text(SMALL.replace("snr_db = 10, 30", "snr_db = 10, 10.0000001"))
+        out = tmp_path / "o"
+        assert cli.main(["run", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["invalid config:", "  snr_db value 10 listed twice"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, code", [("nonexistent.config", errno.ENOENT), (".", errno.EISDIR)])
+    def test_unreadable_config_exits_2_and_names_it(self, tmp_path, capsys, monkeypatch, name, code):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", name, "--out", "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["invalid config:", f"  {name}: {os.strerror(code)}"]
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("parallel", ["0", "-2"])
     def test_parallel_below_one_exits_2(self, tmp_path, capsys, parallel):
