@@ -63,6 +63,7 @@ def _cmd_run(args) -> int:
     if args.bench:
         for name, seconds in manifest.batch_seconds.items():
             print(f"bench: {name} {seconds:.4f} s")
+        print(f"bench: artifacts {manifest.artifact_seconds:.4f} s")
     print(f"artifacts written to {args.out}")
     empty = [row for row in rows if row["runs_used"] == 0]
     for row in empty:
@@ -127,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None, help="override rng_seed")
     p_run.add_argument("--runs", type=int, default=None, help="override monte_carlo_runs")
     p_run.add_argument("--parallel", type=int, default=1, help="worker processes, at most one per batch")
-    p_run.add_argument("--bench", action="store_true", help="print the simulation seconds of each batch")
+    p_run.add_argument("--bench", action="store_true", help="print the seconds of each batch and of the artifacts")
     p_run.set_defaults(fn=_cmd_run)
 
     p_ver = sub.add_parser("verify", help="check a summary.csv against a reference table")

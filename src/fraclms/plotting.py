@@ -6,6 +6,7 @@ input, which rules out plotting libraries that embed ids or timestamps.
 
 from __future__ import annotations
 
+import functools
 import math
 from pathlib import Path
 from typing import Mapping
@@ -45,6 +46,17 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return ticks
 
 
+def _sx(x, x_max: int):
+    """The pixel x of iteration x (a float, or elementwise an array) on an axis to x_max."""
+    return MARGIN_L + (WIDTH - MARGIN_L - MARGIN_R) * x / x_max
+
+
+@functools.lru_cache(maxsize=8)
+def _points_format(x_max: int, n: int) -> str:
+    """A polyline's points for an n-point curve, with %.2f in place of each y."""
+    return " ".join(["%.2f,%%.2f" % px for px in _sx(np.arange(n, dtype=float), x_max).tolist()])
+
+
 def plot_curves(curves: Mapping[str, np.ndarray], path, ylabel: str) -> Path:
     """Write one polyline per named curve; x axis is the iteration index."""
     if not curves:
@@ -65,9 +77,6 @@ def plot_curves(curves: Mapping[str, np.ndarray], path, ylabel: str) -> Path:
     pw = WIDTH - MARGIN_L - MARGIN_R
     ph = HEIGHT - MARGIN_T - MARGIN_B
 
-    def sx(x: float) -> float:
-        return MARGIN_L + pw * x / x_max
-
     def sy(y: float) -> float:
         return MARGIN_T + ph * (y_hi - y) / (y_hi - y_lo)
 
@@ -80,7 +89,7 @@ def plot_curves(curves: Mapping[str, np.ndarray], path, ylabel: str) -> Path:
     ]
 
     for t in _ticks(0.0, float(x_max)):
-        px = sx(t)
+        px = _sx(t, x_max)
         lines.append(
             f'<line x1="{px:.2f}" y1="{MARGIN_T + ph}" x2="{px:.2f}" '
             f'y2="{MARGIN_T + ph + 5}" stroke="#333333" stroke-width="1"/>'
@@ -109,11 +118,10 @@ def plot_curves(curves: Mapping[str, np.ndarray], path, ylabel: str) -> Path:
         f'text-anchor="middle" transform="rotate(-90 16 {MARGIN_T + ph / 2:.2f})">{ylabel}</text>'
     )
 
-    # sx and sy apply elementwise to arrays: the same operations, per point, as on floats
-    xs = ["%.2f" % px for px in sx(np.arange(x_max + 1, dtype=float)).tolist()]
     for idx, (name, curve) in enumerate(curves.items()):
         color = PALETTE[idx % len(PALETTE)]
-        pts = " ".join(map("%s,%.2f".__mod__, zip(xs, sy(curve).tolist())))
+        # sy applies elementwise to an array: the same operations, per point, as on a float
+        pts = _points_format(x_max, len(curve)) % tuple(sy(curve).tolist())
         lines.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
         )

@@ -1,6 +1,8 @@
 """End-to-end tests for the experiment runner, file formats, plots and CLI."""
 
+import dataclasses
 import errno
+import io
 import json
 import math
 import os
@@ -14,10 +16,12 @@ import pytest
 from fraclms import cli, experiment
 from fraclms.configfile import bundled_path, loads
 from fraclms.experiment import (
+    CURVE_FIELDS,
     FormatError,
     LABELS,
     REFERENCE_FIELDS,
     SUMMARY_FIELDS,
+    _write_curves,
     _write_summary,
     compare_to_reference,
     read_reference,
@@ -174,6 +178,7 @@ class TestRunExperiment:
             seconds = manifest["batch_seconds"]
             assert sorted(seconds) == ["lms+flms", "rvss-flms"]
             assert all(np.isfinite(s) and s > 0 for s in seconds.values())
+            assert np.isfinite(manifest["artifact_seconds"]) and manifest["artifact_seconds"] > 0
             assert manifest["diverged_at"] == {cell: [] for cell in cells}
 
     def test_seed_override_changes_results(self, small_run, tmp_path):
@@ -185,10 +190,7 @@ class TestRunExperiment:
     def test_invalid_config_lists_violations(self, tmp_path):
         from fraclms.configfile import ConfigError
 
-        bad = loads(SMALL)
-        import dataclasses
-
-        bad = dataclasses.replace(bad, monte_carlo_runs=0)
+        bad = dataclasses.replace(loads(SMALL), monte_carlo_runs=0)
         with pytest.raises(ConfigError, match="monte_carlo_runs"):
             run_experiment(bad, tmp_path / "nope")
 
@@ -354,6 +356,30 @@ def constant_report(level, n=20):
         runs_used=1,
         runs_diverged=0,
     )
+
+
+def frozen_curves_text(report):
+    """A curves CSV formatted one row at a time: the writer the cached template replaced."""
+    buf = io.StringIO()
+    buf.write(",".join(CURVE_FIELDS) + "\n")
+    for i, (mse, nwd) in enumerate(zip(report.mse_db.tolist(), report.nwd_db.tolist())):
+        buf.write(f"{i},{mse!r},{nwd!r}\n")
+    return buf.getvalue()
+
+
+EDGE_VALUES = np.array([-320.0, -0.0, 0.0, 1e-05, 1e16, 5e-324, -1.7976931348623157e308])
+CURVE_CASES = {
+    "N=1": (np.array([-3.25]), np.array([-41.0])),
+    "N=600": (np.random.default_rng(3).normal(-20.0, 15.0, 600), np.linspace(-60.0, 0.0, 600)),
+    "edge values": (EDGE_VALUES, EDGE_VALUES[::-1].copy()),
+}
+
+
+@pytest.mark.parametrize("mse_db, nwd_db", CURVE_CASES.values(), ids=CURVE_CASES.keys())
+def test_curves_csv_equals_frozen_formatter(mse_db, nwd_db, tmp_path):
+    report = dataclasses.replace(constant_report(0.0), mse_db=mse_db, nwd_db=nwd_db)
+    _write_curves(tmp_path / "c.csv", report)
+    assert (tmp_path / "c.csv").read_bytes() == frozen_curves_text(report).encode("utf-8")
 
 
 def test_readme_quotes_the_summary_and_reference_headers():
@@ -566,8 +592,11 @@ class TestCli:
         config = tmp_path / "tiny.config"
         config.write_text(SMALL)
         assert cli.main(["run", str(config), "--out", str(tmp_path / "o"), "--bench"]) == 0
-        printed = capsys.readouterr().out
-        assert "bench:" in printed
+        bench = [line.split() for line in capsys.readouterr().out.splitlines() if line.startswith("bench:")]
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert [words[1] for words in bench] == ["lms+flms", "rvss-flms", "artifacts"]
+        assert all(words[3] == "s" and float(words[2]) > 0 for words in bench)
+        assert bench[-1][2] == f"{manifest['artifact_seconds']:.4f}"
 
     def test_bench_survives_diverging_first_run(self, tmp_path, capsys):
         text = SMALL.replace("algorithms = lms, flms, rvss-flms", "algorithms = lms, flms")
@@ -577,7 +606,7 @@ class TestCli:
         assert cli.main(["run", str(config), "--out", str(out), "--bench"]) == 1
         printed = capsys.readouterr().out.splitlines()
         bench = [line.split()[1] for line in printed if line.startswith("bench:")]
-        assert bench == ["lms+flms"]
+        assert bench == ["lms+flms", "artifacts"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert sorted(manifest["batch_seconds"]) == ["lms+flms"]
         diverged_at = manifest["diverged_at"]

@@ -1,9 +1,10 @@
 """SVG polylines against a frozen copy of the per-point formatter.
 
-plot_curves scales and formats every curve in bulk; frozen_points below is
-the formatter it replaced, one f-string per point.  The polyline points
-must be the same bytes, and every other line of the file comes from code
-the bulk path does not touch.
+plot_curves scales every curve in bulk and formats it with one % over a
+template of its x coordinates, cached per axis length and curve length;
+frozen_points below is the formatter it replaced, one f-string per point.
+The polyline points must be the same bytes, and every other line of the
+file comes from code the bulk path does not touch.
 """
 
 import re
@@ -11,6 +12,7 @@ import re
 import numpy as np
 import pytest
 
+from fraclms import experiment, plotting
 from fraclms.plotting import HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, WIDTH, plot_curves
 
 
@@ -55,7 +57,21 @@ CASES = {
 }
 
 
+def polylines(curves, path):
+    text = plot_curves(curves, path, "MSE (dB)").read_text(encoding="utf-8")
+    return re.findall(r'<polyline [^>]*points="([^"]*)"/>', text)
+
+
 @pytest.mark.parametrize("curves", CASES.values(), ids=CASES.keys())
 def test_polylines_equal_frozen_formatter(curves, tmp_path):
-    text = plot_curves(curves, tmp_path / "c.svg", "MSE (dB)").read_text(encoding="utf-8")
-    assert re.findall(r'<polyline [^>]*points="([^"]*)"/>', text) == frozen_points(curves)
+    assert polylines(curves, tmp_path / "c.svg") == frozen_points(curves)
+
+
+def test_template_cache_is_keyed_by_axis_and_length(tmp_path):
+    draw = np.random.default_rng(5)
+    curve, longer = draw.normal(-20.0, 5.0, 600), draw.normal(-30.0, 5.0, 700)
+    # the same curve length on an axis to 599, then to 699, then to 599 again
+    for curves in ({"a": curve}, {"a": curve, "b": longer}, {"a": curve}):
+        assert polylines(curves, tmp_path / "c.svg") == frozen_points(curves)
+    for cache in (plotting._points_format, experiment._curve_format):
+        assert cache.cache_parameters()["maxsize"] is not None
