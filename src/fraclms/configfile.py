@@ -14,14 +14,15 @@ Plain INI-style text with three section kinds::
     coeffs = 0.9, 0.3, -0.1
 
     [filter]                         # shared filter hyperparameters
-    tap_count = 3
+    frac_order = 0.5
     ...
 
     [filter.rvss-flms]               # optional per-algorithm overrides
     nu_max = 3e-4
 
 The [filter] keys are the fields of FilterConfig, each read as its
-annotated type, and all of them but frac_power_policy are required.
+annotated type, and all of them but frac_power_policy are required.  The
+filter order is not a key: it is the number of plant coeffs.
 Unknown sections or keys are hard errors, as is any violated invariant;
 all problems found in one file are reported together.
 """

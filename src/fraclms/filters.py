@@ -38,7 +38,6 @@ __all__ = [
     "update_step_size",
     "flms_step",
     "rvss_flms_step",
-    "initial_state",
 ]
 
 
@@ -59,10 +58,10 @@ class FracPowerPolicy(enum.Enum):
 class FilterConfig:
     """Static hyperparameters of one adaptive filter instance.
 
+    The filter has one weight per coefficient of the plant it identifies.
+
     Attributes
     ----------
-    tap_count : int
-        Number of adaptive weights.
     frac_order : float
         Fractional derivative order f, 0 < f < 1.
     nu_init : float
@@ -84,7 +83,6 @@ class FilterConfig:
         Initial value of every tap weight.
     """
 
-    tap_count: int
     frac_order: float
     nu_init: float
     nu_f_init: float
@@ -99,8 +97,6 @@ class FilterConfig:
     def violations(self) -> list[str]:
         """Return a description of every violated invariant (empty if valid)."""
         bad = []
-        if self.tap_count < 1:
-            bad.append(f"tap_count must be >= 1, got {self.tap_count}")
         if not 0.0 < self.frac_order < 1.0:
             bad.append(f"frac_order must lie in (0, 1), got {self.frac_order}")
         if not (math.isfinite(self.nu_f_init) and self.nu_f_init >= 0.0):
@@ -136,11 +132,6 @@ class FilterState:
     nu: float | np.ndarray
     p: float | np.ndarray
     prev_error: float | np.ndarray
-
-
-def initial_state(cfg: FilterConfig) -> FilterState:
-    """Fresh state of one filter: all weights at weight_init, nu at nu_init, no history."""
-    return FilterState(np.full(cfg.tap_count, float(cfg.weight_init)), float(cfg.nu_init), 0.0, 0.0)
 
 
 def tap_dot(a, b):

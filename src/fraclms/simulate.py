@@ -114,6 +114,9 @@ class ExperimentConfig:
         tags = [f"{s + 0.0:g}" for s in self.snr_db_list]
         for tag in sorted({t for t in tags if tags.count(t) > 1}, key=float):
             bad.append(f"snr_db value {tag} listed twice")
+        order = len(self.plant.coeffs)
+        if self.samples_per_run < order:
+            bad.append(f"samples_per_run must be >= the plant order, got {self.samples_per_run} < {order}")
         if self.monte_carlo_runs < 1:
             bad.append(f"monte_carlo_runs must be >= 1, got {self.monte_carlo_runs}")
         if not 0 <= self.rng_seed < 2**64:
@@ -130,16 +133,6 @@ class ExperimentConfig:
             seen.add(spec.name)
             for v in spec.filter.violations():
                 bad.append(f"[{spec.name}] {v}")
-            if self.samples_per_run < spec.filter.tap_count:
-                bad.append(
-                    f"[{spec.name}] samples_per_run must be >= tap_count, "
-                    f"got {self.samples_per_run} < {spec.filter.tap_count}"
-                )
-            if spec.filter.tap_count != len(self.plant.coeffs):
-                bad.append(
-                    f"[{spec.name}] tap_count {spec.filter.tap_count} does not match "
-                    f"plant order {len(self.plant.coeffs)}"
-                )
         return bad
 
 
@@ -227,8 +220,12 @@ def run_identification(
     its own sqrt(disturbance_variance), so the batch has one row per
     (algorithm, plant, run), algorithm-major: row (a*S + s)*R + r is run r
     of algorithms[a] against plants[s].  Each row steps with its own
-    algorithm's nu_init, nu_f_init and weight_init.  The regressor window
-    uses zero prehistory for the first tap_count - 1 samples.  ValueError
+    algorithm's nu_init, nu_f_init and weight_init.  The filters have K
+    taps, the order that every plant must share, and the regressor window
+    uses zero prehistory for the first K - 1 samples.  ValueError lists
+    every problem with the batch's layout: an empty batch or one whose
+    algorithms cannot share a step, no plants or plants of different
+    orders, an x that is not a non-empty 2-D (R, N) array.  Past those, it
     lists every invalid filter config or plant, and a z not shaped like x.
 
     A row is masked at the first sample whose squared error, step size or
@@ -238,15 +235,24 @@ def run_identification(
     order, of its squared prediction error and NWD in dB after every
     update, and the sorted sample index at which each other run was masked.
     """
-    keys = {(_batch_key(spec), spec.filter.tap_count) for spec in algorithms}
-    if len(keys) != 1:
-        raise ValueError("a batch's algorithms must share step function, frac_order, policy and tap_count")
+    problems = []
+    if not algorithms:
+        problems.append("a batch must hold at least one algorithm")
+    elif len({_batch_key(spec) for spec in algorithms}) != 1:
+        problems.append("a batch's algorithms must share step function, frac_order and policy")
     if len({spec.name for spec in algorithms}) != len(algorithms):
-        raise ValueError(f"an algorithm is listed twice in {[spec.name for spec in algorithms]}")
-    (step_fn, _, _), k = keys.pop()
-    for plant in plants:
-        if len(plant.coeffs) != k:
-            raise ValueError(f"tap_count {k} does not match plant order {len(plant.coeffs)}")
+        problems.append(f"an algorithm is listed twice in {[spec.name for spec in algorithms]}")
+    orders = sorted({len(plant.coeffs) for plant in plants})
+    if not plants:
+        problems.append("plants must be non-empty")
+    elif len(orders) != 1:
+        problems.append(f"plants must share one order, got orders {orders}")
+    if np.ndim(x) != 2 or 0 in np.shape(x):
+        problems.append(f"x must be a non-empty 2-D (R, N) array, got shape {np.shape(x)}")
+    if problems:
+        raise ValueError("; ".join(problems))
+    step_fn = _dispatch(algorithms[0])[0]
+    k = orders[0]
     runs, n_samples = x.shape
     truth = np.repeat(np.transpose([plant.coeffs for plant in plants]), runs, axis=1)  # (k, block)
     ratio = weight_distance(np.tile(truth, len(algorithms)))  # rejects an all-zero plant

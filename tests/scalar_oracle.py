@@ -46,8 +46,8 @@ class FilterState:
     iteration: int = 0
 
 
-def initial_state(cfg: FilterConfig) -> FilterState:
-    w = np.full(cfg.tap_count, float(cfg.weight_init))
+def initial_state(cfg: FilterConfig, k: int) -> FilterState:
+    w = np.full(k, float(cfg.weight_init))
     return FilterState(weights=w, nu=float(cfg.nu_init), p=0.0, prev_error=0.0, iteration=0)
 
 
@@ -135,13 +135,13 @@ def _dispatch(algorithm: str, cfg: FilterConfig):
 
 def run_identification(algorithm, cfg, plant, n_samples, input_rng, disturbance_rng) -> RunSeries:
     step_fn, step_cfg = _dispatch(algorithm, cfg)
-    k = cfg.tap_count
+    k = len(plant.coeffs)
 
     x = bpsk_sequence(n_samples, input_rng)
     padded = np.concatenate([np.zeros(k - 1), x])
     truth = np.asarray(plant.coeffs, dtype=float)
 
-    state = initial_state(cfg)
+    state = initial_state(cfg, k)
     e2 = np.empty(n_samples)
     nwd = np.empty(n_samples)
     for n in range(n_samples):

@@ -17,11 +17,12 @@ import pytest
 
 from fraclms.configfile import bundled_path, load, loads
 from fraclms.experiment import read_summary, run_experiment
-from fraclms.filters import FilterConfig, FilterState, flms_step, initial_state, predict, rvss_flms_step
+from fraclms.filters import FilterConfig, FilterState, flms_step, predict, rvss_flms_step
 from fraclms.filters import update_step_size
 from fraclms.simulate import clean_plant_power, snr_to_variance, stream
 
 import transcript_oracle
+from states import fresh_state
 
 # reference table cells for RVSS-FLMS and FLMS (MSE and NWD, four SNRs)
 SNRS = (10.0, 20.0, 30.0, 40.0)
@@ -105,7 +106,7 @@ def test_criterion_3_nwd_levels(paper_grid):
 
 def _filter(**over):
     base = dict(
-        tap_count=3, frac_order=0.5, nu_init=0.01, nu_f_init=0.01,
+        frac_order=0.5, nu_init=0.01, nu_f_init=0.01,
         nu_min=0.005, nu_max=0.03, alpha=0.5, beta=0.5, gamma=0.5,
     )
     base.update(over)
@@ -115,7 +116,7 @@ def _filter(**over):
 def _increment(w, x, d, **over):
     """w' - w of one flms_step from weights w, with the filter's settings changed by over."""
     st = FilterState(np.asarray(w, dtype=float), 0.01, 0.0, 0.0)
-    new, _ = flms_step(st, np.asarray(x, dtype=float), d, _filter(tap_count=len(w), **over))
+    new, _ = flms_step(st, np.asarray(x, dtype=float), d, _filter(**over))
     return new.weights - st.weights
 
 
@@ -130,7 +131,7 @@ def _check_zero_error_fixed_point():
 
 
 def _check_lms_degeneracy():
-    cfg = _filter(tap_count=2, nu_init=0.05, nu_f_init=0.0, nu_min=0.01, nu_max=0.1)
+    cfg = _filter(nu_init=0.05, nu_f_init=0.0, nu_min=0.01, nu_max=0.1)
     rng = np.random.default_rng(101)
     st = FilterState(np.array([0.2, -0.1]), cfg.nu_init, 0.0, 0.0)
     w = [0.2, -0.1]
@@ -178,12 +179,12 @@ def _check_fractional_consistency():
 
 
 def _check_step_size_laws():
-    cfg = _filter(tap_count=1, nu_init=2e-4, nu_min=1e-4, nu_max=3e-4)
+    cfg = _filter(nu_init=2e-4, nu_min=1e-4, nu_max=3e-4)
     rng = np.random.default_rng(55)
     for _ in range(300):
         out = update_step_size(float(rng.uniform(-5, 5)), float(rng.normal(scale=10)), cfg)
         assert cfg.nu_min <= out <= cfg.nu_max
-    wide = _filter(tap_count=1, nu_init=0.75, nu_min=1e-300, nu_max=1.0)
+    wide = _filter(nu_init=0.75, nu_min=1e-300, nu_max=1.0)
     nu = 0.75
     for k in range(1, 30):
         nu = update_step_size(nu, 0.0, wide)
@@ -217,7 +218,6 @@ algorithms = lms, flms, rvss-flms
 coeffs = 0.9, 0.3, -0.1
 
 [filter]
-tap_count = 3
 frac_order = 0.5
 nu_init = 0.006
 nu_f_init = 0.006
@@ -263,7 +263,7 @@ def test_criterion_4_property_suite(tmp_path):
 def test_criterion_5_oracle_transcript():
     compared = transcript_oracle.check_transcript(
         rvss_flms_step,
-        initial_state,
+        lambda cfg: fresh_state(cfg, 1),
         lambda x: np.array([x]),
         FilterConfig,
     )

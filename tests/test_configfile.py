@@ -23,7 +23,6 @@ algorithms = lms, flms, rvss-flms
 coeffs = 0.9, 0.3, -0.1
 
 [filter]
-tap_count = 3
 frac_order = 0.5
 nu_init = 0.006
 nu_f_init = 0.006
@@ -45,7 +44,6 @@ def test_parses_good_config():
     assert tuple(a.name for a in cfg.algorithms) == ("lms", "flms", "rvss-flms")
     assert cfg.plant.coeffs == (0.9, 0.3, -0.1)
     fc = cfg.algorithms[0].filter
-    assert fc.tap_count == 3
     assert fc.nu_init == 0.006
     assert fc.weight_init == 1e-20
     assert fc.frac_power_policy is FracPowerPolicy.SIGNED_MAGNITUDE
@@ -57,9 +55,9 @@ def test_bundled_paper_config_is_verbatim():
     assert cfg.samples_per_run == 600
     assert cfg.monte_carlo_runs == 200
     assert cfg.plant.coeffs == (0.9, 0.3, -0.1)
+    assert len(cfg.plant.coeffs) == 3  # the filter order
     for spec in cfg.algorithms:
         fc = spec.filter
-        assert fc.tap_count == 3
         assert fc.frac_order == 0.5
         assert fc.nu_init == 1e-4
         assert fc.nu_f_init == 1e-4
@@ -167,9 +165,17 @@ def test_unknown_algorithm_name():
         loads(GOOD.replace("algorithms = lms, flms, rvss-flms", "algorithms = amflms"))
 
 
-def test_tap_count_must_match_plant():
-    with pytest.raises(ConfigError, match="plant order"):
-        loads(GOOD.replace("tap_count = 3", "tap_count = 2"))
+def test_tap_count_is_an_unknown_key():
+    # the filter order is the plant order, not a key
+    with pytest.raises(ConfigError) as exc:
+        loads(GOOD.replace("[filter]\n", "[filter]\ntap_count = 3\n"))
+    assert exc.value.problems == ["[filter]: unknown key 'tap_count'"]
+
+
+def test_too_few_samples_for_the_plant_order_is_one_problem():
+    with pytest.raises(ConfigError) as exc:
+        loads(GOOD.replace("samples_per_run = 100", "samples_per_run = 2"))
+    assert exc.value.problems == ["samples_per_run must be >= the plant order, got 2 < 3"]
 
 
 def test_effective_config_survives_replace():
@@ -196,3 +202,10 @@ def test_readme_config_example_is_the_derived_format():
     example = re.search(r"^## Config format$.*?^```ini\n(.*?)^```$", readme, flags=re.M | re.S).group(1)
     loads(example)
     assert sorted(_filter_keys(example)) == sorted(field.name for field in dataclasses.fields(FilterConfig))
+
+
+def test_readme_library_use_example_runs(capsys):
+    readme = README.read_text(encoding="utf-8")
+    example = re.search(r"^## Library use$.*?^```python\n(.*?)^```$", readme, flags=re.M | re.S).group(1)
+    exec(compile(example, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 4  # one line per (algorithm, plant)

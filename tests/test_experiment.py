@@ -43,7 +43,6 @@ algorithms = lms, flms, rvss-flms
 coeffs = 0.9, 0.3, -0.1
 
 [filter]
-tap_count = 3
 frac_order = 0.5
 nu_init = 0.006
 nu_f_init = 0.006

@@ -16,7 +16,6 @@ from fraclms.filters import (
     FracPowerPolicy,
     flms_step,
     frac_power,
-    initial_state,
     predict,
     rvss_flms_step,
     tap_dot,
@@ -29,7 +28,6 @@ GAMMA_1_25 = 0.90640247705547707798
 
 def make_config(**over):
     base = dict(
-        tap_count=3,
         frac_order=0.5,
         nu_init=0.01,
         nu_f_init=0.01,
@@ -50,21 +48,21 @@ def state_with(weights, nu=0.01, p=0.0, prev_error=0.0):
 
 def integer_gradient(w, x, d, nu=0.5):
     """Gradient of the cost (d - w.x)**2 / 2, read off one LMS step: (w - w') / nu."""
-    cfg = make_config(tap_count=len(w), nu_init=nu, nu_f_init=0.0)
+    cfg = make_config(nu_init=nu, nu_f_init=0.0)
     st = state_with(w)
     return (st.weights - flms_step(st, np.asarray(x, dtype=float), d, cfg)[0].weights) / nu
 
 
 def fractional_gradient(w, x, d, f, nu_f=0.5):
     """The fractional term -e*x*w**(1-f)/gamma(2-f), read off one FLMS step with nu_init = 0."""
-    cfg = make_config(tap_count=len(w), frac_order=f, nu_init=0.0, nu_f_init=nu_f)
+    cfg = make_config(frac_order=f, nu_init=0.0, nu_f_init=nu_f)
     st = state_with(w)
     return (st.weights - flms_step(st, np.asarray(x, dtype=float), d, cfg)[0].weights) / nu_f
 
 
 def recovered_gamma(f):
     """gamma(2 - f) from one FLMS step whose fractional term alone moves w = 1 by 1/gamma(2 - f)."""
-    cfg = make_config(tap_count=1, frac_order=f, nu_init=0.0, nu_f_init=1.0)
+    cfg = make_config(frac_order=f, nu_init=0.0, nu_f_init=1.0)
     new, _ = flms_step(state_with([1.0]), np.array([1.0]), 2.0, cfg)
     return 1.0 / (new.weights[0] - 1.0)
 
@@ -259,14 +257,14 @@ class TestFlmsStep:
     def test_hand_step_with_coupled_step_sizes(self):
         # nu_f = nu * gamma(2 - f) makes both terms contribute 0.1 here
         nu = 0.1
-        cfg = make_config(tap_count=1, nu_init=nu, nu_f_init=nu * math.gamma(1.5), nu_min=0.01, nu_max=0.5)
+        cfg = make_config(nu_init=nu, nu_f_init=nu * math.gamma(1.5), nu_min=0.01, nu_max=0.5)
         st = state_with([1.0], nu=nu)
         new, err = flms_step(st, np.array([1.0]), 2.0, cfg)
         assert err == 1.0
         assert new.weights[0] == pytest.approx(1.2, rel=1e-14)
 
     def test_divergence_returns_non_finite_weights(self):
-        cfg = make_config(tap_count=1, nu_init=1.0, nu_f_init=0.0, nu_max=2.0)
+        cfg = make_config(nu_init=1.0, nu_f_init=0.0, nu_max=2.0)
         with np.errstate(all="ignore"):
             new, err = flms_step(state_with([1e200], nu=1.0), np.array([1e200]), 0.0, cfg)
         assert not np.isfinite(err) and not np.isfinite(new.weights).any()
@@ -288,7 +286,7 @@ class TestRvssFlmsStep:
     def test_hand_step_unit_weight(self):
         # w**(1-f) = 1 for w = 1 regardless of f
         for f in (0.2, 0.5, 0.8):
-            cfg = make_config(tap_count=1, frac_order=f, nu_init=0.2, nu_min=0.01, nu_max=0.5)
+            cfg = make_config(frac_order=f, nu_init=0.2, nu_min=0.01, nu_max=0.5)
             st = state_with([1.0], nu=0.2)
             new, err = rvss_flms_step(st, np.array([1.0]), 2.0, cfg)
             assert err == 1.0
@@ -331,7 +329,7 @@ class TestRvssFlmsStep:
         np.testing.assert_allclose(new2.weights - st.weights, c * (new1.weights - st.weights), rtol=1e-14)
 
     def test_uses_current_nu_before_advancing_it(self):
-        cfg = make_config(tap_count=1, nu_init=0.02, nu_min=0.001, nu_max=0.5, gamma=100.0)
+        cfg = make_config(nu_init=0.02, nu_min=0.001, nu_max=0.5, gamma=100.0)
         st = state_with([1.0], nu=0.02, p=0.0, prev_error=1.0)
         new, err = rvss_flms_step(st, np.array([1.0]), 2.0, cfg)
         # weight moved by nu(n) = 0.02, not by the advanced step size
@@ -339,7 +337,7 @@ class TestRvssFlmsStep:
         assert new.nu != st.nu
 
     def test_divergence_returns_non_finite_weights(self):
-        cfg = make_config(tap_count=1, nu_init=0.02, nu_max=0.5)
+        cfg = make_config(nu_init=0.02, nu_max=0.5)
         with np.errstate(all="ignore"):
             new, err = rvss_flms_step(state_with([1e300], nu=0.3), np.array([1e300]), 0.0, cfg)
         assert not np.isfinite(err) and not np.isfinite(new.weights).any()
@@ -355,9 +353,9 @@ class TestFilterConfigValidation:
         assert any("nu_max" in m and "nu_min" in m for m in msgs)
 
     def test_all_violations_reported(self):
-        bad = make_config(tap_count=0, frac_order=1.5, alpha=2.0, beta=-1.0, gamma=0.0)
+        bad = make_config(frac_order=1.5, alpha=2.0, beta=-1.0, gamma=0.0)
         msgs = bad.violations()
-        for field in ("tap_count", "frac_order", "alpha", "beta", "gamma"):
+        for field in ("frac_order", "alpha", "beta", "gamma"):
             assert any(field in m for m in msgs), field
 
     def test_nu_init_outside_bounds(self):
@@ -380,12 +378,3 @@ class TestFilterConfigValidation:
     )
     def test_step_size_constants_must_be_finite(self, over, key):
         assert any(m.startswith(f"{key} must be finite") for m in make_config(**over).violations())
-
-
-def test_initial_state():
-    cfg = make_config(weight_init=1e-20)
-    st = initial_state(cfg)
-    assert st.weights.shape == (3,)
-    assert np.all(st.weights == 1e-20)
-    assert st.nu == cfg.nu_init
-    assert st.p == 0.0 and st.prev_error == 0.0

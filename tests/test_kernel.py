@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 import scalar_oracle
 from fraclms import experiment, simulate
 from fraclms.configfile import bundled_path, load
-from fraclms.filters import FilterConfig, FilterState, FracPowerPolicy, flms_step, initial_state
+from fraclms.filters import FilterConfig, FilterState, FracPowerPolicy, flms_step
 from fraclms.simulate import ALGORITHMS, AlgorithmSpec, ExperimentConfig, PlantSpec, run_ensemble
+from states import fresh_state
 
 unit = st.floats(0.05, 0.95)
 
@@ -52,7 +53,6 @@ def experiments(draw):
     nu_min = draw(st.one_of(st.floats(0.01, 1.0), st.floats(1.5, 3.0))) / taps
     nu_max = nu_min * draw(st.floats(1.01, 2.0))
     cfg = FilterConfig(
-        tap_count=taps,
         frac_order=draw(unit),
         nu_init=draw(st.floats(nu_min, nu_max)),
         nu_f_init=draw(st.floats(0.0, 3.0)) / taps,
@@ -124,7 +124,7 @@ def test_kernel_rows_equal_scalar_loop(experiment):
 def test_partly_diverged_batch_equals_scalar_loop(algorithm, nu):
     # steps near the stability edge at 8 and 10 dB: some runs of each plant diverge, at different samples
     cfg = FilterConfig(
-        tap_count=3, frac_order=0.5, nu_init=nu, nu_f_init=nu, nu_min=nu, nu_max=1.3 * nu,
+        frac_order=0.5, nu_init=nu, nu_f_init=nu, nu_min=nu, nu_max=1.3 * nu,
         alpha=0.5, beta=0.5, gamma=0.5, weight_init=1e-20,
     )
     plants = [PlantSpec((0.9, 0.3, -0.1), 0.143), PlantSpec((0.9, 0.3, -0.1), 0.091)]
@@ -139,7 +139,7 @@ def test_chunk_edges_equal_scalar_loop(names, n_samples):
     # the weight distance is measured once per CHUNK steps: lengths on
     # either side of a chunk boundary, and a last chunk of one step
     cfg = FilterConfig(
-        tap_count=3, frac_order=0.5, nu_init=0.05, nu_f_init=0.05, nu_min=0.01, nu_max=0.1,
+        frac_order=0.5, nu_init=0.05, nu_f_init=0.05, nu_min=0.01, nu_max=0.1,
         alpha=0.5, beta=0.5, gamma=0.5, weight_init=1e-20,
     )
     algorithms = [AlgorithmSpec(name, cfg) for name in names]
@@ -149,7 +149,7 @@ def test_chunk_edges_equal_scalar_loop(names, n_samples):
 
 # LMS near its stability edge with its own constants; FLMS and RVSS-FLMS share theirs
 EDGE = FilterConfig(
-    tap_count=3, frac_order=0.5, nu_init=0.34, nu_f_init=0.34, nu_min=0.34, nu_max=0.44,
+    frac_order=0.5, nu_init=0.34, nu_f_init=0.34, nu_min=0.34, nu_max=0.44,
     alpha=0.5, beta=0.5, gamma=0.5, weight_init=1e-20,
 )
 EDGE_LMS = replace(EDGE, nu_init=1.35, nu_f_init=1.35, nu_min=1.35, nu_max=1.55, weight_init=-0.3)
@@ -219,7 +219,7 @@ def test_all_diverged_batch_masks_live_rows_at_the_break(algorithm, monkeypatch)
     # are finite; at sample 2 no row is finite, and at sample 3 no row's
     # error is, so the kernel stops after 4 of its 50 steps.
     cfg = FilterConfig(
-        tap_count=3, frac_order=0.5, nu_init=1e200, nu_f_init=1e200, nu_min=1e199, nu_max=1e201,
+        frac_order=0.5, nu_init=1e200, nu_f_init=1e200, nu_min=1e199, nu_max=1e201,
         alpha=0.5, beta=0.5, gamma=0.5,
     )
     plants = [PlantSpec(tuple(1e120 * (i == delay) for i in range(3))) for delay in range(3)]
@@ -240,12 +240,12 @@ def test_all_diverged_batch_masks_live_rows_at_the_break(algorithm, monkeypatch)
 
 def test_step_never_raises_and_rows_stay_independent():
     cfg = FilterConfig(
-        tap_count=1, frac_order=0.5, nu_init=1.0, nu_f_init=0.0, nu_min=0.5, nu_max=2.0,
+        frac_order=0.5, nu_init=1.0, nu_f_init=0.0, nu_min=0.5, nu_max=2.0,
         alpha=0.5, beta=0.5, gamma=0.5,
     )
     state = FilterState(np.zeros((1, 2)), np.ones(2), np.zeros(2), np.zeros(2))
     state.weights[0] = 1e200, 0.3
-    alone = initial_state(cfg)
+    alone = fresh_state(cfg, 1)
     alone.weights[0] = 0.3
     with np.errstate(all="ignore"):
         new, _ = flms_step(state, np.array([[1e200, 0.7]]), np.array([0.0, 1.1]), cfg)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fraclms.filters import FilterConfig, flms_step, initial_state, rvss_flms_step
+from fraclms.filters import FilterConfig, flms_step, rvss_flms_step
 from fraclms.simulate import (
     ROLE_DISTURBANCE,
     ROLE_INPUT,
@@ -19,6 +19,7 @@ from fraclms.simulate import (
     snr_to_variance,
     stream,
 )
+from states import fresh_state
 
 PAPER_PLANT = PlantSpec(coeffs=(0.9, 0.3, -0.1))
 
@@ -38,7 +39,6 @@ def single_run(algorithm, cfg, plant, n, seed, run=0):
 def scaled_config(**over):
     """Benchmark filter constants with usable (60x) step sizes."""
     base = dict(
-        tap_count=3,
         frac_order=0.5,
         nu_init=6e-3,
         nu_f_init=6e-3,
@@ -138,7 +138,7 @@ class TestPlantOutput:
 
 class TestRunIdentification:
     def test_scalar_lms_contraction(self):
-        cfg = scaled_config(tap_count=1, nu_init=0.4, nu_f_init=0.0, nu_min=0.1, nu_max=0.5)
+        cfg = scaled_config(nu_init=0.4, nu_f_init=0.0, nu_min=0.1, nu_max=0.5)
         plant = PlantSpec(coeffs=(0.5,), disturbance_variance=0.0)
         e2, nwd, _ = single_run("lms", cfg, plant, 50, seed=3)
         assert np.all(np.diff(e2[0]) <= 0.0)
@@ -196,7 +196,7 @@ class TestRunIdentification:
         x = bpsk_sequence(n, stream(5, 2, 0))
         drng = stream(5, 2, 1)
         padded = np.concatenate([np.zeros(2), x])
-        state = initial_state(cfg)
+        state = fresh_state(cfg, 3)
         for i in range(n):
             reg = padded[i : i + 3][::-1]
             desired = plant_output(reg, plant, drng.standard_normal())
@@ -218,7 +218,7 @@ class TestRunIdentification:
         plant = PlantSpec(coeffs=PAPER_PLANT.coeffs, disturbance_variance=0.0)
         x = bpsk_sequence(1, stream(3, 0, 0))
         window = np.array([x[0], 0.0, 0.0])
-        _, err = flms_step(initial_state(cfg), window, 0.0, cfg)
+        _, err = flms_step(fresh_state(cfg, 3), window, 0.0, cfg)
         with np.errstate(over="ignore"):
             assert math.isfinite(err) and not math.isfinite(err * err)
         e2, nwd, diverged_at = single_run("lms", cfg, plant, 10, seed=3)
@@ -236,16 +236,11 @@ class TestRunIdentification:
         with pytest.raises(ValueError, match="unknown algorithm"):
             single_run("amflms", scaled_config(), PAPER_PLANT, 10, seed=0)
 
-    def test_plant_order_mismatch(self):
-        with pytest.raises(ValueError, match="plant order"):
-            single_run("lms", scaled_config(tap_count=4), PAPER_PLANT, 10, seed=0)
-
     @pytest.mark.parametrize(
         "names, over, match",
         [
             (("lms", "rvss-flms"), {}, "must share"),
             (("lms", "flms"), dict(frac_order=0.75), "must share"),
-            (("lms", "flms"), dict(tap_count=4), "must share"),
             (("flms", "flms"), {}, "listed twice"),
         ],
     )
@@ -254,6 +249,24 @@ class TestRunIdentification:
         x, z = np.ones((1, 10)), np.zeros((1, 10))
         with pytest.raises(ValueError, match=match):
             run_identification(batch, [PAPER_PLANT], x, z)
+
+    @pytest.mark.parametrize(
+        "names, plants, x_shape, message",
+        [
+            ((), [PAPER_PLANT], (1, 10), "a batch must hold at least one algorithm"),
+            (("lms",), [], (1, 10), "plants must be non-empty"),
+            (("lms",), [PAPER_PLANT, PlantSpec((0.9, 0.3))], (1, 10), "plants must share one order, got orders [2, 3]"),
+            (("lms",), [PAPER_PLANT], (10,), "x must be a non-empty 2-D (R, N) array, got shape (10,)"),
+            (("lms",), [PAPER_PLANT], (1, 0), "x must be a non-empty 2-D (R, N) array, got shape (1, 0)"),
+            (("lms",), [PAPER_PLANT], (0, 10), "x must be a non-empty 2-D (R, N) array, got shape (0, 10)"),
+        ],
+        ids=["empty_batch", "no_plants", "plant_orders_differ", "x_1d", "x_no_samples", "x_no_runs"],
+    )
+    def test_malformed_batch_is_named(self, names, plants, x_shape, message):
+        batch = [AlgorithmSpec(name, scaled_config()) for name in names]
+        with pytest.raises(ValueError) as info:
+            run_identification(batch, plants, np.ones(x_shape), np.zeros(x_shape))
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "cfg, plant, z_runs, messages",

@@ -8,7 +8,7 @@ from fraclms.filters import FilterConfig, update_correlation, update_step_size
 
 def params(**over):
     base = dict(
-        tap_count=1, frac_order=0.5, nu_init=2e-4, nu_f_init=0.0,
+        frac_order=0.5, nu_init=2e-4, nu_f_init=0.0,
         nu_min=1e-4, nu_max=3e-4, alpha=0.5, beta=0.5, gamma=0.5,
     )
     base.update(over)
@@ -83,7 +83,7 @@ class TestUpdateStepSize:
 
     def test_filter_config_works_as_params(self):
         cfg = FilterConfig(
-            tap_count=1, frac_order=0.5, nu_init=2e-4, nu_f_init=0.0,
+            frac_order=0.5, nu_init=2e-4, nu_f_init=0.0,
             nu_min=1e-4, nu_max=3e-4, alpha=0.5, beta=0.5, gamma=0.5,
         )
         assert update_step_size(2e-4, 0.0, cfg) == 1e-4

@@ -4,13 +4,14 @@ implementation (see transcript_oracle for how the rows were produced)."""
 import numpy as np
 
 import transcript_oracle
-from fraclms.filters import FilterConfig, initial_state, rvss_flms_step
+from fraclms.filters import FilterConfig, rvss_flms_step
+from states import fresh_state
 
 
 def test_transcript_matches_to_twelve_digits():
     compared = transcript_oracle.check_transcript(
         rvss_flms_step,
-        initial_state,
+        lambda cfg: fresh_state(cfg, 1),
         lambda x: np.array([x]),
         FilterConfig,
     )

@@ -15,7 +15,6 @@ digits (more than double precision carries).
 """
 
 CONFIG = dict(
-    tap_count=1,
     frac_order=0.5,
     nu_init=0.08,
     nu_f_init=0.0,
