@@ -16,7 +16,6 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -175,6 +174,9 @@ def run_experiment(
     shared = (plants, config.samples_per_run, config.monte_carlo_runs, config.rng_seed)
     jobs = [(group, *shared) for group in batches(config.algorithms)]
     if parallel > 1:
+        # imported here: a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # a fork-started pool forks every worker at once, so start no more than there are batches
         with ProcessPoolExecutor(max_workers=min(parallel, len(jobs))) as pool:
             results = list(pool.map(_run_batch, jobs))

@@ -223,10 +223,10 @@ def run_identification(
     algorithm's nu_init, nu_f_init and weight_init.  The filters have K
     taps, the order that every plant must share, and the regressor window
     uses zero prehistory for the first K - 1 samples.  ValueError lists
-    every problem with the batch's layout: an empty batch or one whose
-    algorithms cannot share a step, no plants or plants of different
-    orders, an x that is not a non-empty 2-D (R, N) array.  Past those, it
-    lists every invalid filter config or plant, and a z not shaped like x.
+    every problem of the batch at once: an unknown algorithm, an empty
+    batch or one whose algorithms cannot share a step, no plants or plants
+    of different orders, an x that is not a non-empty 2-D (R, N) array or
+    a z not shaped like it, and every invalid filter config or plant.
 
     A row is masked at the first sample whose squared error, step size or
     NWD is not finite; the loop stops once no row's error is finite.
@@ -235,10 +235,11 @@ def run_identification(
     order, of its squared prediction error and NWD in dB after every
     update, and the sorted sample index at which each other run was masked.
     """
-    problems = []
+    unknown = [spec.name for spec in algorithms if spec.name not in LABELS]
+    problems = [f"unknown algorithm {name!r}; expected one of {ALGORITHMS}" for name in unknown]
     if not algorithms:
         problems.append("a batch must hold at least one algorithm")
-    elif len({_batch_key(spec) for spec in algorithms}) != 1:
+    elif not unknown and len({_batch_key(spec) for spec in algorithms}) != 1:
         problems.append("a batch's algorithms must share step function, frac_order and policy")
     if len({spec.name for spec in algorithms}) != len(algorithms):
         problems.append(f"an algorithm is listed twice in {[spec.name for spec in algorithms]}")
@@ -249,19 +250,17 @@ def run_identification(
         problems.append(f"plants must share one order, got orders {orders}")
     if np.ndim(x) != 2 or 0 in np.shape(x):
         problems.append(f"x must be a non-empty 2-D (R, N) array, got shape {np.shape(x)}")
+    elif np.shape(z) != np.shape(x):
+        problems.append(f"z has shape {np.shape(z)}, x has shape {np.shape(x)}")
+    problems += [f"[{spec.name}] {v}" for spec in algorithms for v in spec.filter.violations()]
+    problems += [v for plant in plants for v in plant.violations()]  # an all-zero plant among them
     if problems:
         raise ValueError("; ".join(problems))
     step_fn = _dispatch(algorithms[0])[0]
     k = orders[0]
     runs, n_samples = x.shape
     truth = np.repeat(np.transpose([plant.coeffs for plant in plants]), runs, axis=1)  # (k, block)
-    ratio = weight_distance(np.tile(truth, len(algorithms)))  # rejects an all-zero plant
-    problems = [f"[{spec.name}] {v}" for spec in algorithms for v in spec.filter.violations()]
-    problems += [v for plant in plants for v in plant.violations()]
-    if np.shape(z) != x.shape:
-        problems.append(f"z has shape {np.shape(z)}, x has shape {x.shape}")
-    if problems:
-        raise ValueError("; ".join(problems))
+    ratio = weight_distance(np.tile(truth, len(algorithms)))
     configs = [_dispatch(spec)[1] for spec in algorithms]
     block = len(plants) * runs  # the rows of one algorithm
     rows = len(algorithms) * block
@@ -309,11 +308,14 @@ def run_identification(
     masked_at = np.where(bad.any(axis=0), bad.argmax(axis=0), n_samples)
     del bad, nu  # free them before the kept rows are copied out
 
+    kept = [first + np.flatnonzero(masked_at[first : first + runs] == n_samples) for first in range(0, rows, runs)]
+    squared = [e2.T[keep] for keep in kept]  # a cell per block of runs, copied out C-ordered
+    del e2, desired  # free the squared errors before the dB conversion allocates
+
     cells = [[] for _ in algorithms]
-    for first in range(0, rows, runs):  # a cell per block of runs; .T[kept] copies its runs out C-ordered
+    for first, keep, cell_e2 in zip(range(0, rows, runs), kept, squared):
         lost = masked_at[first : first + runs]
-        kept = first + np.flatnonzero(lost == n_samples)
-        cells[first // block].append((e2.T[kept], nwd_db(distance.T[kept]), sorted(lost[lost < n_samples].tolist())))
+        cells[first // block].append((cell_e2, nwd_db(distance.T[keep]), sorted(lost[lost < n_samples].tolist())))
     return cells
 
 

@@ -7,6 +7,9 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+from concurrent import futures
 from pathlib import Path
 from xml.dom import minidom
 
@@ -148,10 +151,25 @@ class TestRunExperiment:
             def map(self, fn, cells):
                 return map(fn, cells)
 
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
         run_experiment(loads(SMALL), tmp_path / "many", runs=1, parallel=64)
         run_experiment(loads(SMALL), tmp_path / "two", runs=1, parallel=2)
         assert requested == [2, 2]
+
+    def test_serial_run_never_loads_the_process_pool(self, tmp_path):
+        # in a fresh interpreter: this one may have run a pool for another test
+        out = tmp_path / "out"
+        script = (
+            "import sys\n"
+            "from fraclms.configfile import loads\n"
+            "from fraclms.experiment import run_experiment\n"
+            f"run_experiment(loads({SMALL!r}), {str(out)!r}, runs=1)\n"
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(experiment.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout == "[]\n"
+        assert (out / "manifest.json").is_file()
 
     def test_rerun_unlinks_only_plain_names_inside_out(self, tmp_path):
         out = tmp_path / "out"

@@ -27,13 +27,13 @@ from states import fresh_state
 unit = st.floats(0.05, 0.95)
 
 # traced peak of one merged LMS+FLMS batch, in (N, rows) float arrays,
-# measured with numpy 2.4: 4.05 on the edge batch, of which about 0.25 is
+# measured with numpy 2.4: 3.83 on the edge batch, of which about 0.25 is
 # the weights of one CHUNK of steps and their distance temporaries.  Where
-# no run diverges (paper-x60) every run is copied out and it reads 5.14,
-# and 6.15 if the time-reversed input is still held while the kept rows
-# are copied out.  With the (K, N, rows) tap windows copied out of their
-# view both read 6.83
-MEMORY_ROW_ARRAYS = 5.5
+# no run diverges (paper-x60) every run is copied out and it reads 4.15:
+# 5.14 if the squared errors are still held while NWD is converted, 5.15
+# if the time-reversed input is still held while the kept rows are copied
+# out, and 4.58 with the (K, N, runs) tap windows copied out of their view
+MEMORY_ROW_ARRAYS = 4.5
 
 
 @st.composite

@@ -227,10 +227,22 @@ class TestRunIdentification:
 
     def test_all_zero_plant_raises_instead_of_masking(self):
         # ||truth|| = 0 makes every distance ratio non-finite, which would
-        # otherwise mask every run as diverged
+        # otherwise mask every run as diverged; it is listed with the batch's other problems
         plant = PlantSpec(coeffs=(0.0, 0.0, 0.0), disturbance_variance=0.01)
-        with pytest.raises(ValueError, match="truth vector must be nonzero"):
-            single_run("lms", scaled_config(), plant, 10, seed=0)
+        with pytest.raises(ValueError) as info:
+            single_run("lms", scaled_config(frac_order=1.5), plant, 10, seed=0)
+        assert str(info.value) == (
+            "[lms] frac_order must lie in (0, 1), got 1.5; plant coeffs must not all be zero, got (0.0, 0.0, 0.0)"
+        )
+
+    def test_unknown_algorithm_is_listed_with_the_other_problems(self):
+        batch = [AlgorithmSpec("amflms", scaled_config(frac_order=1.5))]
+        with pytest.raises(ValueError) as info:
+            run_identification(batch, [], np.ones((1, 10)), np.zeros((1, 10)))
+        assert str(info.value) == (
+            "unknown algorithm 'amflms'; expected one of ('lms', 'flms', 'rvss-flms'); plants must be non-empty;"
+            " [amflms] frac_order must lie in (0, 1), got 1.5"
+        )
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
