@@ -354,7 +354,7 @@ def compare_to_reference(
     """
     for name, value, low in (("mse_tol_db", mse_tol_db, 0.0), ("iter_factor", iter_factor, 1.0)):
         if not (math.isfinite(value) and value >= low):
-            raise ValueError(f"{name} must be finite and >= {low:g}, got {value!r}")
+            raise ValueError(f"{name} must be finite and >= {low:g}, got {value:g}")
     summary = {(r["algorithm"], r["snr_db"]): r for r in read_summary(summary_path)}
     reference = {(r["algorithm"], r["snr_db"]): r for r in read_reference(reference_path)}
 

@@ -80,6 +80,23 @@ class AlgorithmSpec:
     filter: FilterConfig
 
 
+def _algorithm_problems(algorithms: Sequence[AlgorithmSpec]) -> list[str]:
+    """Every problem of an algorithm list: none listed, an unknown or repeated name, an invalid filter."""
+    bad = []
+    if len(algorithms) == 0:
+        bad.append("algorithms list must be non-empty")
+    seen = set()
+    for spec in algorithms:
+        if spec.name not in ALGORITHMS:
+            bad.append(f"unknown algorithm {spec.name!r}; expected one of {ALGORITHMS}")
+        elif spec.name in seen:
+            bad.append(f"algorithm {spec.name!r} listed twice")
+        seen.add(spec.name)
+        for v in spec.filter.violations():
+            bad.append(f"[{spec.name}] {v}")
+    return bad
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one benchmark experiment."""
@@ -121,19 +138,7 @@ class ExperimentConfig:
             bad.append(f"monte_carlo_runs must be >= 1, got {self.monte_carlo_runs}")
         if not 0 <= self.rng_seed < 2**64:
             bad.append(f"rng_seed must be a 64-bit unsigned integer, got {self.rng_seed}")
-        if len(self.algorithms) == 0:
-            bad.append("algorithms list must be non-empty")
-        seen = set()
-        for spec in self.algorithms:
-            if spec.name not in ALGORITHMS:
-                bad.append(f"unknown algorithm {spec.name!r}; expected one of {ALGORITHMS}")
-                continue
-            if spec.name in seen:
-                bad.append(f"algorithm {spec.name!r} listed twice")
-            seen.add(spec.name)
-            for v in spec.filter.violations():
-                bad.append(f"[{spec.name}] {v}")
-        return bad
+        return bad + _algorithm_problems(self.algorithms)
 
 
 def stream(seed: int, run_index: int, role: int) -> np.random.Generator:
@@ -223,26 +228,23 @@ def run_identification(
     algorithm's nu_init, nu_f_init and weight_init.  The filters have K
     taps, the order that every plant must share, and the regressor window
     uses zero prehistory for the first K - 1 samples.  ValueError lists
-    every problem of the batch at once: an unknown algorithm, an empty
-    batch or one whose algorithms cannot share a step, no plants or plants
-    of different orders, an x that is not a non-empty 2-D (R, N) array or
-    a z not shaped like it, and every invalid filter config or plant.
+    every problem of the batch at once: those of the algorithm list, worded
+    as ExperimentConfig.violations words them, then algorithms that cannot
+    share a step, no plants or plants of different orders, an x that is not
+    a non-empty 2-D (R, N) array or a z not shaped like it, and every
+    invalid plant.
 
-    A row is masked at the first sample whose squared error, step size or
-    NWD is not finite; the loop stops once no row's error is finite.
+    Every row steps all N samples, and is masked at the first sample whose
+    squared error, step size or NWD is not finite.
     Returns, per algorithm and then per plant, (squared_error, nwd_db,
     diverged_at): one (runs_used, N) row per run that stayed finite, in run
     order, of its squared prediction error and NWD in dB after every
     update, and the sorted sample index at which each other run was masked.
     """
-    unknown = [spec.name for spec in algorithms if spec.name not in LABELS]
-    problems = [f"unknown algorithm {name!r}; expected one of {ALGORITHMS}" for name in unknown]
-    if not algorithms:
-        problems.append("a batch must hold at least one algorithm")
-    elif not unknown and len({_batch_key(spec) for spec in algorithms}) != 1:
+    problems = _algorithm_problems(algorithms)
+    known = all(spec.name in ALGORITHMS for spec in algorithms)  # _batch_key raises on an unknown name
+    if known and len({_batch_key(spec) for spec in algorithms}) > 1:
         problems.append("a batch's algorithms must share step function, frac_order and policy")
-    if len({spec.name for spec in algorithms}) != len(algorithms):
-        problems.append(f"an algorithm is listed twice in {[spec.name for spec in algorithms]}")
     orders = sorted({len(plant.coeffs) for plant in plants})
     if not plants:
         problems.append("plants must be non-empty")
@@ -252,7 +254,6 @@ def run_identification(
         problems.append(f"x must be a non-empty 2-D (R, N) array, got shape {np.shape(x)}")
     elif np.shape(z) != np.shape(x):
         problems.append(f"z has shape {np.shape(z)}, x has shape {np.shape(x)}")
-    problems += [f"[{spec.name}] {v}" for spec in algorithms for v in spec.filter.violations()]
     problems += [v for plant in plants for v in plant.violations()]  # an all-zero plant among them
     if problems:
         raise ValueError("; ".join(problems))
@@ -283,28 +284,23 @@ def run_identification(
     distance = np.empty((n_samples, rows))
     nu = np.empty((n_samples, rows)) if step_fn is rvss_flms_step else None  # flms_step keeps nu_init
     recent = np.empty((k, CHUNK, rows))  # the weights after each step of a chunk
-    done = n_samples
     with np.errstate(all="ignore"):
         for start in range(0, n_samples, CHUNK):
-            for n in range(start, min(start + CHUNK, n_samples)):
+            stop = min(start + CHUNK, n_samples)
+            for n in range(start, stop):
                 state, err = step_fn(state, latest[n_samples - 1 - n : n_samples - 1 - n + k], desired[n], step_cfg)
                 e2[n] = err
                 recent[:, n - start] = state.weights
                 if nu is not None:
                     nu[n] = state.nu
-                if not np.count_nonzero(np.isfinite(err)):  # every row is masked by now: stop early
-                    done = n + 1
-                    break
-            distance[start : n + 1] = ratio(recent[:, : n + 1 - start])
-            if n + 1 == done:
-                break
-        np.multiply(e2[:done], e2[:done], out=e2[:done])
+            distance[start:stop] = ratio(recent[:, : stop - start])
+        np.multiply(e2, e2, out=e2)
     del latest, windows  # free the input before the dB conversion allocates
 
     # a row is masked at its first non-finite sample; n_samples: it stayed finite
-    bad = ~(np.isfinite(e2[:done]) & np.isfinite(distance[:done]))
+    bad = ~(np.isfinite(e2) & np.isfinite(distance))
     if nu is not None:
-        bad |= ~np.isfinite(nu[:done])
+        bad |= ~np.isfinite(nu)
     masked_at = np.where(bad.any(axis=0), bad.argmax(axis=0), n_samples)
     del bad, nu  # free them before the kept rows are copied out
 

@@ -211,13 +211,13 @@ def test_merged_batch_memory_is_a_few_row_arrays():
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_all_diverged_batch_masks_live_rows_at_the_break(algorithm, monkeypatch):
+def test_all_diverged_batch_steps_every_sample_and_masks_each_row_once(algorithm, monkeypatch):
     # noise-free plants with one huge tap at delays 0, 1 and 2: with zero
     # weights and zero prehistory a row's error is exactly 0 until its
     # plant's delay, where a step of 1e200 overflows its weights.  Rows of
     # the first two plants are masked at samples 0 and 1 while other rows
-    # are finite; at sample 2 no row is finite, and at sample 3 no row's
-    # error is, so the kernel stops after 4 of its 50 steps.
+    # are finite; from sample 2 on no row is finite, yet the kernel steps
+    # all 50 samples and each row stays masked where it first overflowed.
     cfg = FilterConfig(
         frac_order=0.5, nu_init=1e200, nu_f_init=1e200, nu_min=1e199, nu_max=1e201,
         alpha=0.5, beta=0.5, gamma=0.5,
@@ -234,7 +234,7 @@ def test_all_diverged_batch_masks_live_rows_at_the_break(algorithm, monkeypatch)
     monkeypatch.setattr(simulate, step_name, counting_step)
     with np.errstate(all="ignore"):
         [cells] = assert_rows_match_oracle([AlgorithmSpec(algorithm, cfg)], plants, 50, 3, seed=2)
-    assert len(calls) == 4
+    assert len(calls) == 50
     assert [diverged_at for _, _, diverged_at in cells] == [[0, 0, 0], [1, 1, 1], [2, 2, 2]]
 
 

@@ -10,6 +10,7 @@ from fraclms.simulate import (
     ROLE_DISTURBANCE,
     ROLE_INPUT,
     AlgorithmSpec,
+    ExperimentConfig,
     PlantSpec,
     bpsk_sequence,
     clean_plant_power,
@@ -240,9 +241,25 @@ class TestRunIdentification:
         with pytest.raises(ValueError) as info:
             run_identification(batch, [], np.ones((1, 10)), np.zeros((1, 10)))
         assert str(info.value) == (
-            "unknown algorithm 'amflms'; expected one of ('lms', 'flms', 'rvss-flms'); plants must be non-empty;"
-            " [amflms] frac_order must lie in (0, 1), got 1.5"
+            "unknown algorithm 'amflms'; expected one of ('lms', 'flms', 'rvss-flms');"
+            " [amflms] frac_order must lie in (0, 1), got 1.5; plants must be non-empty"
         )
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            ((), "algorithms list must be non-empty"),
+            (("amflms",), "unknown algorithm 'amflms'; expected one of ('lms', 'flms', 'rvss-flms')"),
+            (("flms", "flms"), "algorithm 'flms' listed twice"),
+        ],
+        ids=["empty", "unknown", "repeated"],
+    )
+    def test_kernel_words_an_algorithm_list_as_the_config_does(self, names, message):
+        batch = tuple(AlgorithmSpec(name, scaled_config()) for name in names)
+        assert ExperimentConfig(PAPER_PLANT, (20.0,), 10, 1, 0, batch).violations() == [message]
+        with pytest.raises(ValueError) as info:
+            run_identification(batch, [PAPER_PLANT], np.ones((1, 10)), np.zeros((1, 10)))
+        assert str(info.value) == message
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
@@ -265,7 +282,7 @@ class TestRunIdentification:
     @pytest.mark.parametrize(
         "names, plants, x_shape, message",
         [
-            ((), [PAPER_PLANT], (1, 10), "a batch must hold at least one algorithm"),
+            ((), [PAPER_PLANT], (1, 10), "algorithms list must be non-empty"),
             (("lms",), [], (1, 10), "plants must be non-empty"),
             (("lms",), [PAPER_PLANT, PlantSpec((0.9, 0.3))], (1, 10), "plants must share one order, got orders [2, 3]"),
             (("lms",), [PAPER_PLANT], (10,), "x must be a non-empty 2-D (R, N) array, got shape (10,)"),
