@@ -23,21 +23,21 @@ Plain INI-style text with three section kinds::
 The [filter] keys are the fields of FilterConfig, each read as its
 annotated type, and all of them but frac_power_policy are required.  The
 filter order is not a key: it is the number of plant coeffs.
-Unknown sections or keys are hard errors, as is any violated invariant;
-all problems found in one file are reported together.
+Unknown sections or keys are hard errors, as is any violated invariant.
+A file is checked in two stages, each reporting all its problems at once:
+its text (sections, keys, values that cannot be read), then, only once
+all of that parses, the invariants of the config it describes.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
-import math
 from dataclasses import asdict
 from pathlib import Path
 from typing import get_type_hints
 
 from .filters import FilterConfig, FracPowerPolicy
-from .simulate import ALGORITHMS, AlgorithmSpec, ExperimentConfig, PlantSpec
+from .simulate import AlgorithmSpec, ExperimentConfig, PlantSpec
 
 __all__ = ["ConfigError", "loads", "dumps", "load", "bundled_path"]
 
@@ -68,37 +68,41 @@ class ConfigError(ValueError):
 
 
 def _value(kind, text: str, where: str, problems: list[str]):
-    """text read as kind; an invalid value goes to problems and reads as a placeholder."""
+    """text read as kind; an invalid value goes to problems and reads as None."""
     if isinstance(kind, tuple):
         return tuple(_value(kind[0], item.strip(), where, problems) for item in text.split(",") if item.strip())
     try:
         return kind(text)
     except ValueError:
-        pass
+        if kind is FracPowerPolicy:
+            problems.append(f"{where} must be one of {[p.value for p in FracPowerPolicy]}, got {text!r}")
+        else:
+            problems.append(f"{where}: not {'an integer' if kind is int else 'a number'}: {text!r}")
+
+
+def _text(kind, value) -> str:
+    """value written as kind: the mirror of _value."""
+    if isinstance(kind, tuple):
+        return ", ".join(_text(kind[0], item) for item in value)
     if kind is FracPowerPolicy:
-        problems.append(f"{where} must be one of {[p.value for p in FracPowerPolicy]}, got {text!r}")
-        return FracPowerPolicy.SIGNED_MAGNITUDE
-    problems.append(f"{where}: not {'an integer' if kind is int else 'a number'}: {text!r}")
-    return 0 if kind is int else math.nan
+        return value.value
+    if kind is float:
+        return repr(float(value))
+    return str(value)
 
 
 def _check_keys(values, where, kinds, optional, problems) -> dict[str, str]:
     """The keys of values that kinds names; unknown keys, and missing ones
-    not in optional, go to problems.
-
-    A missing key gets a parseable placeholder so that later checks still run.
-    """
+    not in optional, go to problems."""
     problems.extend(f"{where}: unknown key {key!r}" for key in values if key not in kinds)
-    known = {key: raw for key, raw in values.items() if key in kinds}
     for key in kinds:
-        if key not in known and key not in optional:
+        if key not in values and key not in optional:
             problems.append(f"{where}: missing required key {key!r}")
-            known[key] = "0.5" if kinds[key] is float else "1"
-    return known
+    return {key: raw for key, raw in values.items() if key in kinds}
 
 
 def loads(text: str) -> ExperimentConfig:
-    """Parse and validate config text; raises ConfigError listing every problem."""
+    """Parse, then validate config text; raises ConfigError listing every problem of the first stage with any."""
     parser = configparser.ConfigParser(
         delimiters=("=",), inline_comment_prefixes=("#",), interpolation=None
     )
@@ -113,28 +117,25 @@ def loads(text: str) -> ExperimentConfig:
         if required not in parser:
             problems.append(f"missing required section [{required}]")
     for section in parser.sections():
-        if section in ("experiment", "plant", "filter"):
-            continue
-        if not section.startswith("filter."):
+        if section not in ("experiment", "plant", "filter") and not section.startswith("filter."):
             problems.append(f"unknown section [{section}]")
-        elif section[len("filter."):] not in ALGORITHMS:
-            problems.append(f"unknown algorithm in section [{section}]; expected one of {ALGORITHMS}")
     if problems:
         raise ConfigError(problems)
 
     checked = {name: _check_keys(parser[name], f"[{name}]", kinds, (), problems) for name, kinds in _SECTIONS.items()}
     base_sec = _check_keys(parser["filter"], "[filter]", _FILTER, _FILTER, problems)
     exp, plant = (
-        {key: _value(kind, checked[name][key], f"[{name}]: {key}", problems) for key, kind in kinds.items()}
+        {key: _value(kinds[key], raw, f"[{name}]: {key}", problems) for key, raw in checked[name].items()}
         for name, kinds in _SECTIONS.items()
     )
 
+    names = exp.get("algorithms")  # None: the key is missing, so no section can match it
     for section in parser.sections():
-        if section.startswith("filter.") and section[len("filter."):] not in exp["algorithms"]:
+        if names is not None and section.startswith("filter.") and section[len("filter."):] not in names:
             problems.append(f"section [{section}] has no matching entry in [experiment] algorithms")
 
-    algorithms = []
-    for name in exp["algorithms"]:
+    filters = []
+    for name in names or ():
         values = dict(base_sec)
         override = f"filter.{name}"
         if override in parser:
@@ -142,7 +143,9 @@ def loads(text: str) -> ExperimentConfig:
         where = f"filter for {name!r}"
         values = _check_keys(values, where, _FILTER, _FILTER_OPTIONAL, problems)
         kwargs = {key: _value(_FILTER[key], raw, f"{where}: {key}", problems) for key, raw in values.items()}
-        algorithms.append(AlgorithmSpec(name=name, filter=FilterConfig(**kwargs)))
+        filters.append((name, kwargs))
+    if problems:
+        raise ConfigError(problems)
 
     config = ExperimentConfig(
         plant=PlantSpec(coeffs=plant["coeffs"], disturbance_variance=0.0),
@@ -150,47 +153,37 @@ def loads(text: str) -> ExperimentConfig:
         samples_per_run=exp["samples_per_run"],
         monte_carlo_runs=exp["monte_carlo_runs"],
         rng_seed=exp["rng_seed"],
-        algorithms=tuple(algorithms),
+        algorithms=tuple(AlgorithmSpec(name=name, filter=FilterConfig(**kwargs)) for name, kwargs in filters),
     )
-    problems.extend(config.violations())
+    problems = config.violations()
     if problems:
         raise ConfigError(problems)
     return config
 
 
-def _fmt(value) -> str:
-    if isinstance(value, FracPowerPolicy):
-        return value.value
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def dumps(config: ExperimentConfig) -> str:
     """Serialize to the canonical text form (round-trips through loads)."""
-    out = io.StringIO()
-    out.write("[experiment]\n")
-    out.write("snr_db = " + ", ".join(repr(float(s)) for s in config.snr_db_list) + "\n")
-    out.write(f"samples_per_run = {config.samples_per_run}\n")
-    out.write(f"monte_carlo_runs = {config.monte_carlo_runs}\n")
-    out.write(f"rng_seed = {config.rng_seed}\n")
-    out.write("algorithms = " + ", ".join(a.name for a in config.algorithms) + "\n")
-    out.write("\n[plant]\n")
-    out.write("coeffs = " + ", ".join(repr(float(c)) for c in config.plant.coeffs) + "\n")
-
-    base = config.algorithms[0].filter
-    base_dict = asdict(base)
-    out.write("\n[filter]\n")
-    for key in _FILTER:
-        out.write(f"{key} = {_fmt(base_dict[key])}\n")
+    base = asdict(config.algorithms[0].filter)
+    sections = {
+        "experiment": {
+            "snr_db": config.snr_db_list,
+            "samples_per_run": config.samples_per_run,
+            "monte_carlo_runs": config.monte_carlo_runs,
+            "rng_seed": config.rng_seed,
+            "algorithms": [spec.name for spec in config.algorithms],
+        },
+        "plant": {"coeffs": config.plant.coeffs},
+        "filter": base,
+    }
     for spec in config.algorithms:
-        diff = {k: v for k, v in asdict(spec.filter).items() if v != base_dict[k]}
+        diff = {key: value for key, value in asdict(spec.filter).items() if value != base[key]}
         if diff:
-            out.write(f"\n[filter.{spec.name}]\n")
-            for key in _FILTER:
-                if key in diff:
-                    out.write(f"{key} = {_fmt(diff[key])}\n")
-    return out.getvalue()
+            sections[f"filter.{spec.name}"] = diff
+    lines = []
+    for section, values in sections.items():
+        kinds = _SECTIONS.get(section, _FILTER)
+        lines += ["", f"[{section}]"] + [f"{key} = {_text(kinds[key], values[key])}" for key in kinds if key in values]
+    return "\n".join(lines[1:]) + "\n"
 
 
 def load(path) -> ExperimentConfig:

@@ -13,6 +13,7 @@ shared across algorithms (common random numbers).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -136,6 +137,10 @@ class ExperimentConfig:
             bad.append(f"samples_per_run must be >= the plant order, got {self.samples_per_run} < {order}")
         if self.monte_carlo_runs < 1:
             bad.append(f"monte_carlo_runs must be >= 1, got {self.monte_carlo_runs}")
+        # numpy must address the kernel's largest array: samples_per_run + order - 1 float64s per row
+        rows = len(self.algorithms) * len(self.snr_db_list) * self.monte_carlo_runs
+        if (self.samples_per_run + order - 1) * rows * 8 > sys.maxsize:
+            bad.append(f"grid too large to address: {rows} runs of {self.samples_per_run + order - 1} float64s each")
         if not 0 <= self.rng_seed < 2**64:
             bad.append(f"rng_seed must be a 64-bit unsigned integer, got {self.rng_seed}")
         return bad + _algorithm_problems(self.algorithms)

@@ -4,10 +4,14 @@ import dataclasses
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fraclms.configfile import ConfigError, bundled_path, dumps, load, loads
 from fraclms.filters import FilterConfig, FracPowerPolicy
+from fraclms.simulate import ALGORITHMS, AlgorithmSpec, ExperimentConfig, PlantSpec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -165,6 +169,38 @@ def test_unknown_algorithm_name():
         loads(GOOD.replace("algorithms = lms, flms, rvss-flms", "algorithms = amflms"))
 
 
+@pytest.mark.parametrize(
+    "old, new, expected",
+    [
+        ("algorithms = lms, flms, rvss-flms\n", "", ["[experiment]: missing required key 'algorithms'"]),
+        ("samples_per_run = 100\n", "", ["[experiment]: missing required key 'samples_per_run'"]),
+        ("beta = 0.5", "beta = fast", [f"filter for {name!r}: beta: not a number: 'fast'" for name in ALGORITHMS]),
+        ("nu_min = 0.006\n", "", [f"filter for {name!r}: missing required key 'nu_min'" for name in ALGORITHMS]),
+    ],
+    ids=["missing_algorithms", "missing_samples_per_run", "unreadable_beta", "missing_nu_min"],
+)
+def test_text_problems_are_listed_without_invariants(old, new, expected):
+    # an invariant is checked only once every value has been read, so no value stands in for a bad one
+    with pytest.raises(ConfigError) as exc:
+        loads(GOOD.replace(old, new))
+    assert exc.value.problems == expected
+
+
+@pytest.mark.parametrize(
+    "algorithms, expected",
+    [
+        ("lms, amflms", f"unknown algorithm 'amflms'; expected one of {ALGORITHMS}"),
+        ("lms, flms, rvss-flms", "section [filter.amflms] has no matching entry in [experiment] algorithms"),
+    ],
+    ids=["listed", "unlisted"],
+)
+def test_override_for_an_unknown_algorithm(algorithms, expected):
+    text = GOOD.replace("algorithms = lms, flms, rvss-flms", f"algorithms = {algorithms}")
+    with pytest.raises(ConfigError) as exc:
+        loads(text + "\n[filter.amflms]\nnu_max = 0.02\n")
+    assert exc.value.problems == [expected]
+
+
 def test_tap_count_is_an_unknown_key():
     # the filter order is the plant order, not a key
     with pytest.raises(ConfigError) as exc:
@@ -209,3 +245,55 @@ def test_readme_library_use_example_runs(capsys):
     example = re.search(r"^## Library use$.*?^```python\n(.*?)^```$", readme, flags=re.M | re.S).group(1)
     exec(compile(example, "README.md", "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 4  # one line per (algorithm, plant)
+
+
+def _numbers(floats, integers):
+    """A value of floats, or an integral one of integers, as a float, an np.float64 or an int."""
+    values = floats | integers.map(float)
+    return values.flatmap(lambda v: st.sampled_from([v, np.float64(v)] + ([int(v)] if v.is_integer() else [])))
+
+
+@st.composite
+def _filter_configs(draw):
+    unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    nu_min = draw(_numbers(st.floats(1e-6, 10.0), st.integers(1, 10)))
+    nu_max = nu_min * draw(_numbers(st.floats(1.0, 10.0, exclude_min=True), st.integers(2, 5)))
+    between = _numbers(st.floats(float(nu_min), float(nu_max)), st.nothing())
+    return FilterConfig(
+        frac_order=draw(_numbers(unit, st.nothing())),
+        nu_init=draw(between | st.sampled_from([nu_min, nu_max])),
+        nu_f_init=draw(_numbers(st.floats(0.0, 1.0), st.integers(0, 3))),
+        nu_min=nu_min,
+        nu_max=nu_max,
+        alpha=draw(_numbers(unit, st.nothing())),
+        beta=draw(_numbers(unit, st.nothing())),
+        gamma=draw(_numbers(st.floats(1e-3, 10.0), st.integers(1, 10))),
+        frac_power_policy=draw(st.sampled_from(FracPowerPolicy)),
+        weight_init=draw(_numbers(st.floats(-1.0, 1.0), st.integers(-2, 2))),
+    )
+
+
+@st.composite
+def _configs(draw):
+    names = draw(st.lists(st.sampled_from(ALGORITHMS), min_size=1, unique=True))
+    coeffs = draw(st.lists(_numbers(st.floats(-10.0, 10.0), st.integers(-3, 3)), min_size=1, max_size=5))
+    snrs = st.lists(_numbers(st.floats(-50.0, 80.0), st.integers(-50, 80)), min_size=1, max_size=4,
+                    unique_by=lambda s: f"{float(s) + 0.0:g}")
+    return ExperimentConfig(
+        plant=PlantSpec(coeffs=tuple(coeffs)),
+        snr_db_list=tuple(draw(snrs)),
+        samples_per_run=draw(st.integers(len(coeffs), 10**6)),
+        monte_carlo_runs=draw(st.integers(1, 10**4)),
+        rng_seed=draw(st.integers(0, 2**64 - 1)),
+        # each algorithm draws its own filter, so the later ones mostly need an override section
+        algorithms=tuple(AlgorithmSpec(name, draw(_filter_configs())) for name in names),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_configs())
+def test_round_trip_of_floats_ints_and_numpy_floats(cfg):
+    assume(not cfg.violations())
+    text = dumps(cfg)
+    assert loads(text) == cfg
+    assert dumps(loads(text)) == text

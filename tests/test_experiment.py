@@ -95,6 +95,16 @@ class TestRunExperiment:
         manifest = json.loads((out / "manifest.json").read_text())
         assert loads(manifest["config_text"]) == loads(SMALL)
 
+    def test_manifest_config_of_numpy_floats_loads(self, tmp_path):
+        cfg = loads(SMALL.replace("monte_carlo_runs = 3", "monte_carlo_runs = 1"))
+        as_numpy = {key: np.float64(value) for key, value in dataclasses.asdict(cfg.algorithms[0].filter).items()
+                    if isinstance(value, float)}
+        cfg = dataclasses.replace(cfg, algorithms=tuple(
+            dataclasses.replace(spec, filter=dataclasses.replace(spec.filter, **as_numpy)) for spec in cfg.algorithms
+        ))
+        manifest = run_experiment(cfg, tmp_path / "o")
+        assert loads(manifest.config_text) == cfg
+
     def test_curve_schema(self, small_run):
         out, _ = small_run
         lines = (out / "lms_10dB.csv").read_text().splitlines()
@@ -645,6 +655,23 @@ class TestCli:
         assert cli.main(["run", str(config), "--out", str(out), "--runs", str(10**15)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("aborted, output may be partial (no manifest written): ")
+        assert not out.exists()
+
+    def test_run_with_more_runs_than_numpy_can_address_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", "paper-x60.config", "--out", "o", "--runs", str(2 * 10**18)]) == 2
+        # 3 algorithms x 4 SNRs x 2e18 runs of 600 + 3 - 1 samples: numpy cannot address the kernel's input
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["invalid config:", "  grid too large to address: 24000000000000000000 runs of 602 float64s each"]
+        assert not (tmp_path / "o").exists()
+
+    def test_config_with_more_samples_than_numpy_can_address_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "long.config"
+        config.write_text(SMALL.replace("samples_per_run = 64", f"samples_per_run = {2**63 - 1}"))
+        out = tmp_path / "o"
+        assert cli.main(["run", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["invalid config:", f"  grid too large to address: 18 runs of {2**63 + 1} float64s each"]
         assert not out.exists()
 
     @pytest.mark.parametrize("out_name", ["taken", "taken/sub"])
