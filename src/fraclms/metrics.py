@@ -76,14 +76,19 @@ def nwd_db(distance):
     """Normalized weight difference in dB, 20*log10(||truth - est|| / ||truth||).
 
     Converts each squared distance ratio of :func:`weight_distance` (any
-    shape) with math.log10: np.log10 is 1 ulp off it on a few percent of
-    inputs, which would change the curves.  A negative ratio raises
-    ValueError.  A memoryview of the flat ratios hands math.log10 python
-    floats without a list of them.
+    shape) with libm's log10, the function math.log10 calls, through
+    numpy's strided fallback loop: np.log10's SIMD loop is 1 ulp off libm
+    on a few percent of inputs, which would change the curves.  A negative
+    ratio raises ValueError, as math.log10 does.
     """
     d = np.asarray(distance, dtype=float)
+    if np.any(d < 0.0):
+        raise ValueError("a squared distance ratio is negative")
     zero = d == 0.0
-    db = np.fromiter(map(math.log10, memoryview(np.where(zero, 1.0, d).ravel())), float, d.size).reshape(d.shape)
+    # only a 1-D array read backwards, output allocated by numpy, skips the SIMD
+    # loop for libm per element: a reversed out= view or a 2-D array reversed
+    # along an axis takes SIMD again (test_metrics.py guards the route)
+    db = np.log10(np.where(zero, 1.0, d).ravel()[::-1])[::-1].reshape(d.shape)
     db *= 10.0
     db[zero] = DB_FLOOR
     return np.maximum(db, DB_FLOOR)

@@ -35,12 +35,17 @@ def _nice_step(span: float) -> float:
     return 10.0 * mag
 
 
-def _ticks(lo: float, hi: float) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float] | None:
+    """Every multiple of a nice step from lo to hi, or None where there would be over 100:
+    only a step tiny beside the ends does that, and adding it may then leave a tick unmoved."""
     step = _nice_step(hi - lo)
     first = math.ceil(lo / step) * step
+    last = hi + 1e-9 * max(1.0, abs(hi))
+    if (last - first) / step > 100:
+        return None
     ticks = []
     t = first
-    while t <= hi + 1e-9 * max(1.0, abs(hi)):
+    while t <= last:
         ticks.append(t)
         t += step
     return ticks
@@ -67,15 +72,18 @@ def plot_curves(curves: Mapping[str, np.ndarray], path, ylabel: str) -> Path:
 
     x_max = max(len(c) - 1 for c in curves.values())
     x_max = max(x_max, 1)
-    y_lo = min(float(np.min(c)) for c in curves.values())
-    y_hi = max(float(np.max(c)) for c in curves.values())
-    if y_hi - y_lo < 1e-9:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    lo = min(float(np.min(c)) for c in curves.values())
+    hi = max(float(np.max(c)) for c in curves.values())
+    y_lo, y_hi = (lo - 1.0, hi + 1.0) if hi - lo < 1e-9 else (lo, hi)
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
     pw = WIDTH - MARGIN_L - MARGIN_R
     ph = HEIGHT - MARGIN_T - MARGIN_B
+    # sy's scale ph*(y_hi - y) must be finite too
+    y_ticks = _ticks(y_lo, y_hi) if math.isfinite(ph * (y_hi - y_lo)) else None
+    if y_ticks is None:
+        raise ValueError(f"cannot draw a y axis for values from {lo!r} to {hi!r}")
 
     def sy(y: float) -> float:
         return MARGIN_T + ph * (y_hi - y) / (y_hi - y_lo)
@@ -98,7 +106,7 @@ def plot_curves(curves: Mapping[str, np.ndarray], path, ylabel: str) -> Path:
             f'<text x="{px:.2f}" y="{MARGIN_T + ph + 18}" font-family="sans-serif" '
             f'font-size="11" text-anchor="middle">{t:g}</text>'
         )
-    for t in _ticks(y_lo, y_hi):
+    for t in y_ticks:
         py = sy(t)
         lines.append(
             f'<line x1="{MARGIN_L - 5}" y1="{py:.2f}" x2="{MARGIN_L}" '

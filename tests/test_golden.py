@@ -13,6 +13,9 @@ under the pin too.
 The MSE curves go through numpy's dispatched float64 `log10`, whose last
 bits depend on the CPU target numpy picks for it, so the table holds only
 where that target is the one it was recorded on.  A mismatch names both.
+The NWD curves go through libm's `log10` by numpy's strided fallback
+(`metrics.nwd_db`); a mismatch also says whether the probe of
+test_metrics' guard finds that route equal to `math.log10`.
 """
 
 import hashlib
@@ -23,6 +26,7 @@ import pytest
 from fraclms.configfile import bundled_path, loads
 from fraclms.experiment import read_summary, run_experiment
 from test_experiment import LMS_DIVERGES
+from test_metrics import nwd_db_matches_math_log10
 
 EDITS = {
     "monte_carlo_runs": "5",
@@ -87,7 +91,8 @@ def golden_run(tmp_path_factory):
 def test_artifact_bytes_match_recorded_table(golden_run):
     assert artifact_hashes(golden_run) == GOLDEN, (
         f"recorded with float64 log10 dispatched to {GOLDEN_LOG10_TARGET}, "
-        f"running with it dispatched to {log10_dispatch_target()}"
+        f"running with it dispatched to {log10_dispatch_target()}; nwd_db "
+        f"{'equals' if nwd_db_matches_math_log10() else 'differs from'} math.log10 on the guard's probe"
     )
 
 

@@ -1,5 +1,6 @@
 """Tests for curve aggregation and convergence summaries."""
 
+import functools
 import math
 
 import numpy as np
@@ -22,6 +23,36 @@ def generator_nwd_db(distance):
     d = np.asarray(distance, dtype=float)
     db = np.fromiter((10.0 * math.log10(r) if r else DB_FLOOR for r in d.flat), float, d.size)
     return np.maximum(db.reshape(d.shape), DB_FLOOR)
+
+
+def bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@functools.lru_cache(maxsize=1)
+def log10_probe():
+    """Ratios on which this host's contiguous np.log10 differs from math.log10.
+
+    Drawn at test time over 1e-310..1e308, around 1 and over (1e-12, 1), so
+    the subset is this host's own; where no value differs (numpy's float64
+    log10 already calls libm), the whole draw.
+    """
+    rng = np.random.default_rng(27)
+    draw = np.concatenate(
+        [10.0 ** rng.uniform(-310.0, 308.0, 20_000), 1.0 + rng.normal(0.0, 1e-3, 20_000), rng.uniform(1e-12, 1.0, 20_000)]
+    )
+    libm = np.fromiter(map(math.log10, draw), float, draw.size)
+    differs = np.log10(draw) != libm
+    probe = draw[differs] if differs.any() else draw
+    probe.flags.writeable = False
+    return probe
+
+
+def nwd_db_matches_math_log10():
+    """Whether nwd_db equals the math.log10 reference bit for bit on the whole probe."""
+    probe = log10_probe()
+    return bitwise_equal(nwd_db(probe), generator_nwd_db(probe))
 
 
 class TestNwdDb:
@@ -66,9 +97,35 @@ class TestNwdDb:
         ],
     )
     def test_bitwise_equal_to_generator(self, distance):
-        got, ref = np.asarray(nwd_db(distance)), np.asarray(generator_nwd_db(distance))
-        assert got.shape == ref.shape
-        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        assert bitwise_equal(nwd_db(distance), generator_nwd_db(distance))
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [range(1, 70), range(127, 130), range(255, 258), range(1023, 1026), range(8191, 8194)],
+        ids=["1-69", "127-129", "255-257", "1023-1025", "8191-8193"],
+    )
+    def test_libm_route_where_simd_differs(self, sizes):
+        # nwd_db reaches libm's log10 only through numpy's strided fallback;
+        # a numpy that sends negative strides through its SIMD loop fails here
+        probe = log10_probe()
+        for n in sizes:
+            distance = np.resize(probe, n)
+            assert bitwise_equal(nwd_db(distance), generator_nwd_db(distance)), n
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda p: np.array(p[0]),
+            lambda p: np.resize(p, (40, 37)),
+            lambda p: np.asfortranarray(np.resize(p, (40, 37))),
+            lambda p: np.resize(p, (40, 37)).T,
+            lambda p: np.resize(p, 3 * 517)[1::3],
+        ],
+        ids=["0-d", "C-ordered", "F-ordered", "transposed", "strided view"],
+    )
+    def test_libm_route_in_every_layout(self, layout):
+        distance = layout(log10_probe())
+        assert bitwise_equal(nwd_db(distance), generator_nwd_db(distance))
 
     @pytest.mark.parametrize("distance", [-1e-3, -math.inf, np.array([[0.5, 0.0], [-2.0, 1.0]])])
     def test_negative_ratio_raises(self, distance):

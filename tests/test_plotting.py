@@ -7,7 +7,12 @@ The polyline points must be the same bytes, and every other line of the
 file comes from code the bulk path does not touch.
 """
 
+import os
 import re
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,3 +80,30 @@ def test_template_cache_is_keyed_by_axis_and_length(tmp_path):
         assert polylines(curves, tmp_path / "c.svg") == frozen_points(curves)
     for cache in (plotting._points_format, experiment._curve_format):
         assert cache.cache_parameters()["maxsize"] is not None
+
+
+def _cap_address_space():
+    cap = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [("1e+30", "1.0000000000000002e+30"), ("1e20", "1e20", "1e20"), ("1e308", "-1e308")],
+    ids=["one ulp apart", "flat at 1e20", "infinite span"],
+)
+def test_plot_of_an_undrawable_axis_exits_2(values, tmp_path):
+    # before the axis check these hung while their tick list grew, or overflowed
+    # in the step; a child with a timeout and a capped address space fails
+    # instead of hanging this process or eating the host's memory
+    curve, svg = tmp_path / "c.csv", tmp_path / "c.svg"
+    curve.write_text("iteration,mse_db,nwd_db\n" + "".join(f"{i},{v},0.0\n" for i, v in enumerate(values)))
+    env = dict(os.environ, PYTHONPATH=str(Path(plotting.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "fraclms.cli", "plot", str(curve), "--kind", "mse", "--out", str(svg)],
+        env=env, capture_output=True, text=True, timeout=20, preexec_fn=_cap_address_space,
+    )
+    lo, hi = min(map(float, values)), max(map(float, values))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.splitlines() == [f"cannot draw a y axis for values from {lo!r} to {hi!r}"]
+    assert not svg.exists()
