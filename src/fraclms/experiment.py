@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .configfile import ConfigError, dumps, load
 from .metrics import EnsembleReport, build_report
-from .simulate import LABELS, ExperimentConfig, batches, run_ensemble
+from .simulate import LABELS, ExperimentConfig, batches, run_ensemble, signal_bank
 from .plotting import KINDS, emit_plot
 
 __all__ = [
@@ -87,10 +87,11 @@ class ExperimentManifest:
 
     config_text: str
     artifact_paths: dict
-    # wall seconds of each batch's simulation over every SNR and run, keyed
-    # by its algorithm names joined by "+" (e.g. "lms+flms")
+    # wall seconds of each batch, keyed by its algorithm names joined by "+" (e.g.
+    # "lms+flms"): its simulation, its cells' reports and, pooled, their curves CSV texts
     batch_seconds: dict
-    # wall seconds from the first curves file to the end of summary.csv
+    # wall seconds from the first curves file to the end of summary.csv; a serial
+    # run formats each curves CSV in them, a pooled run only writes it
     artifact_seconds: float
     # per cell, keyed like artifact_paths["curves"]: the sorted sample index
     # at which each diverged run was dropped
@@ -107,11 +108,14 @@ def _snr_tag(snr: float) -> str:
 
 
 def _run_batch(args) -> tuple[tuple, list, float]:
-    # a module-level function that looks run_ensemble up per call, so a
-    # process pool can pickle it even when run_ensemble has been wrapped
+    # a module-level function that looks run_ensemble and build_report up per call, so a
+    # process pool can pickle it even when they have been wrapped.  Per cell: (report,
+    # diverged_at, its curves CSV text if texts and it kept a run)
+    group, plants, x, z, texts = args
     t0 = time.perf_counter()
-    cells = run_ensemble(*args)
-    return args[0], cells, time.perf_counter() - t0
+    cells = [[(report, lost, _curves_text(report) if texts and report.runs_used else None) for report, lost in per_snr]
+             for per_snr in run_ensemble(group, plants, x, z, build_report)]
+    return group, cells, time.perf_counter() - t0
 
 
 def _remove_previous_run(out: Path) -> None:
@@ -150,9 +154,11 @@ def run_experiment(
 
     Algorithms that share a step function, frac_order and frac_power_policy
     are simulated as one batch over every SNR and run (LMS and FLMS in
-    one, RVSS-FLMS in another); with parallel > 1 a process pool runs the
-    batches, at most one worker per batch.  The manifest records how long
-    each batch took, how long the other files took to write and when each
+    one, RVSS-FLMS in another) on signals drawn once per grid, and a batch
+    reduces each of its cells to a report; with parallel > 1 a process pool
+    runs the batches, at most one worker per batch, and a worker also
+    formats its cells' curves CSVs.  The manifest records how long each
+    batch took, how long the other files took to write and when each
     diverged run was dropped.
     """
     if not isinstance(config, ExperimentConfig):
@@ -171,8 +177,9 @@ def run_experiment(
         raise NotADirectoryError(f"output directory {out}: {blocker} is not a directory")
 
     plants = [config.plant_at(snr) for snr in config.snr_db_list]
-    shared = (plants, config.samples_per_run, config.monte_carlo_runs, config.rng_seed)
-    jobs = [(group, *shared) for group in batches(config.algorithms)]
+    x, z = signal_bank(config.samples_per_run, config.monte_carlo_runs, config.rng_seed)
+    # only a pool worker formats curves CSVs ahead: a serial run would just hold every text longer
+    jobs = [(group, plants, x, z, parallel > 1) for group in batches(config.algorithms)]
     if parallel > 1:
         # imported here: a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -181,18 +188,17 @@ def run_experiment(
         with ProcessPoolExecutor(max_workers=min(parallel, len(jobs))) as pool:
             results = list(pool.map(_run_batch, jobs))
     else:
-        # lazily, so that each batch's runs are freed once reduced to reports below
         results = map(_run_batch, jobs)
 
     reports: dict[tuple[str, float], EnsembleReport] = {}
-    batch_seconds, diverged_at = {}, {}
+    batch_seconds, diverged_at, texts = {}, {}, {}
     for group, cells, seconds in results:
         batch_seconds["+".join(spec.name for spec in group)] = seconds
         for spec, per_snr in zip(group, cells):
-            for snr, (e2, nwd, lost) in zip(config.snr_db_list, per_snr):
+            for snr, (report, lost, text) in zip(config.snr_db_list, per_snr):
                 diverged_at[f"{spec.name}@{_snr_tag(snr)}"] = lost
-                reports[(spec.name, snr)] = build_report(e2, nwd, runs_diverged=len(lost))
-        del cells, per_snr, e2, nwd  # free this batch's runs before the next one runs
+                reports[(spec.name, snr)] = report
+                texts[(spec.name, snr)] = text
 
     # only now: a simulation that aborts leaves no empty directory behind
     out.mkdir(parents=True, exist_ok=True)
@@ -203,7 +209,7 @@ def run_experiment(
         if report.runs_used == 0:
             continue
         fname = f"{name}_{_snr_tag(snr)}.csv"
-        _write_curves(out / fname, report)
+        (out / fname).write_text(texts[(name, snr)] or _curves_text(report), encoding="utf-8")
         artifact_paths["curves"][f"{name}@{_snr_tag(snr)}"] = fname
 
     for snr in config.snr_db_list:
@@ -238,10 +244,10 @@ def _curve_format(n: int) -> str:
     return ",".join(CURVE_FIELDS) + "\n" + "".join(f"{i},%r,%r\n" for i in range(n))
 
 
-def _write_curves(path: Path, report: EnsembleReport) -> None:
+def _curves_text(report: EnsembleReport) -> str:
     # %r of a float is its repr: one % fills every row
     values = np.column_stack((report.mse_db, report.nwd_db)).ravel().tolist()
-    path.write_text(_curve_format(len(report.mse_db)) % tuple(values), encoding="utf-8")
+    return _curve_format(len(report.mse_db)) % tuple(values)
 
 
 def _write_summary(path: Path, reports) -> None:

@@ -39,14 +39,13 @@ def _ticks(lo: float, hi: float) -> list[float] | None:
     """Every multiple of a nice step from lo to hi, or None where there would be over 100:
     only a step tiny beside the ends does that, and adding it may then leave a tick unmoved."""
     step = _nice_step(hi - lo)
-    first = math.ceil(lo / step) * step
-    last = hi + 1e-9 * max(1.0, abs(hi))
-    if (last - first) / step > 100:
-        return None
+    last = hi + 1e-9 * step  # a tick at hi up to rounding, and none past it
     ticks = []
-    t = first
+    t = math.ceil(lo / step) * step
     while t <= last:
         ticks.append(t)
+        if len(ticks) > 100:
+            return None
         t += step
     return ticks
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -37,6 +37,7 @@ __all__ = [
     "snr_to_variance",
     "plant_output",
     "batches",
+    "signal_bank",
     "run_identification",
     "run_ensemble",
 ]
@@ -320,23 +321,32 @@ def run_identification(
     return cells
 
 
-def run_ensemble(
-    algorithms: Sequence[AlgorithmSpec],
-    plants: Sequence[PlantSpec],
-    n_samples: int,
-    monte_carlo_runs: int,
-    seed: int,
-) -> list[list[tuple[np.ndarray, np.ndarray, list[int]]]]:
-    """Execute an ensemble of independent runs of a batch of algorithms against every plant.
+def signal_bank(n_samples: int, monte_carlo_runs: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (R, N) BPSK input x and standard-normal disturbance draws z of R runs.
 
-    Every run r draws its input and disturbance from streams derived from
-    (seed, r, role) regardless of algorithm and plant, so different
-    algorithms see identical signals.  Returns what
-    :func:`run_identification` returns.
+    Run r draws its rows from the streams of (seed, r, role), whatever the
+    algorithm and plant: one bank serves a grid (common random numbers).
     """
     x = np.empty((monte_carlo_runs, n_samples))
     z = np.empty((monte_carlo_runs, n_samples))
     for r in range(monte_carlo_runs):
         x[r] = bpsk_sequence(n_samples, stream(seed, r, ROLE_INPUT))
         z[r] = stream(seed, r, ROLE_DISTURBANCE).standard_normal(n_samples)
-    return run_identification(algorithms, plants, x, z)
+    return x, z
+
+
+def run_ensemble(
+    algorithms: Sequence[AlgorithmSpec],
+    plants: Sequence[PlantSpec],
+    x: np.ndarray,
+    z: np.ndarray,
+    reduce: Callable,
+) -> list[list[tuple[object, list[int]]]]:
+    """Run a batch of algorithms against every plant on a :func:`signal_bank` and reduce each cell.
+
+    Returns, per algorithm and then per plant, (reduce(squared_error,
+    nwd_db, runs_diverged=len(diverged_at)), diverged_at) of each cell of
+    :func:`run_identification`: its per-run rows never leave this call.
+    """
+    cells = run_identification(algorithms, plants, x, z)
+    return [[(reduce(e2, nwd, runs_diverged=len(lost)), lost) for e2, nwd, lost in per_plant] for per_plant in cells]

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from xml.dom import minidom
 import numpy as np
 import pytest
 
-from fraclms import cli, experiment
+from fraclms import cli, experiment, simulate
 from fraclms.configfile import bundled_path, loads
 from fraclms.experiment import (
     CURVE_FIELDS,
@@ -24,7 +25,7 @@ from fraclms.experiment import (
     LABELS,
     REFERENCE_FIELDS,
     SUMMARY_FIELDS,
-    _write_curves,
+    _curves_text,
     _write_summary,
     compare_to_reference,
     read_reference,
@@ -33,6 +34,7 @@ from fraclms.experiment import (
 )
 from fraclms.metrics import EnsembleReport
 from fraclms.plotting import emit_plot, plot_curves
+from fraclms.simulate import ROLE_DISTURBANCE, ROLE_INPUT, batches, signal_bank
 
 SMALL = """\
 [experiment]
@@ -227,6 +229,36 @@ class TestRunExperiment:
         rows = read_summary(out / "summary.csv")
         assert all(r["runs_used"] == 1 for r in rows)
 
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_grid_draws_one_signal_bank(self, tmp_path, monkeypatch, parallel):
+        # 2R streams per grid, all in this process, however many batches and workers
+        parent, drawn = os.getpid(), []
+        draw = simulate.stream
+
+        def counting_stream(*args):
+            # a pool worker inherits this wrapper, but would count in its own copy of drawn
+            assert os.getpid() == parent, "a pool worker drew its own signals"
+            drawn.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(simulate, "stream", counting_stream)
+        config = loads(SMALL)
+        run_experiment(config, tmp_path / "o", parallel=parallel)
+        runs = range(config.monte_carlo_runs)
+        assert sorted(drawn) == [(config.rng_seed, r, role) for r in runs for role in (ROLE_INPUT, ROLE_DISTURBANCE)]
+
+    @pytest.mark.parametrize("texts", [False, True], ids=["serial", "pooled"])
+    def test_batch_result_holds_no_per_run_array(self, texts):
+        # what a pool worker pickles back: reports, diverged_at and curves texts, not (runs, N) rows
+        config = loads(SMALL)
+        plants = [config.plant_at(snr) for snr in config.snr_db_list]
+        sizes = []
+        for runs in (2, 40):
+            x, z = signal_bank(config.samples_per_run, runs, config.rng_seed)
+            sizes.append(len(pickle.dumps([experiment._run_batch((group, plants, x, z, texts))
+                                           for group in batches(config.algorithms)])))
+        assert sizes[1] < 1.02 * sizes[0], sizes
+
 
 def summary_to_reference(rows, path):
     """Rewrite summary rows in the reference-table schema."""
@@ -403,10 +435,9 @@ CURVE_CASES = {
 
 
 @pytest.mark.parametrize("mse_db, nwd_db", CURVE_CASES.values(), ids=CURVE_CASES.keys())
-def test_curves_csv_equals_frozen_formatter(mse_db, nwd_db, tmp_path):
+def test_curves_csv_equals_frozen_formatter(mse_db, nwd_db):
     report = dataclasses.replace(constant_report(0.0), mse_db=mse_db, nwd_db=nwd_db)
-    _write_curves(tmp_path / "c.csv", report)
-    assert (tmp_path / "c.csv").read_bytes() == frozen_curves_text(report).encode("utf-8")
+    assert _curves_text(report) == frozen_curves_text(report)
 
 
 def test_readme_quotes_the_summary_and_reference_headers():

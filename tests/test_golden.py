@@ -3,7 +3,9 @@
 The table below holds the SHA-256 of every file `run_experiment` writes
 except the time-stamped manifest.  It was recorded once and must never be
 regenerated from the code under test: a refactor that changes any result,
-a curve digit or an SVG coordinate fails here.
+a curve digit or an SVG coordinate fails here.  A run on a process pool of
+two workers, whose batches format their own curves CSVs, must write the
+same bytes.
 
 The config is paper-x60 at R=5 and 8/10 dB with large step sizes, so
 FLMS and RVSS-FLMS lose some runs to divergence and every LMS run
@@ -83,13 +85,21 @@ def artifact_hashes(out):
 
 @pytest.fixture(scope="module")
 def golden_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("golden")
-    run_experiment(golden_config(), out)
-    return out
+    """The output directory of the golden config's run with a given parallel, run once each."""
+    outs = {}
+
+    def run(parallel=1):
+        if parallel not in outs:
+            outs[parallel] = tmp_path_factory.mktemp(f"golden-p{parallel}")
+            run_experiment(golden_config(), outs[parallel], parallel=parallel)
+        return outs[parallel]
+
+    return run
 
 
-def test_artifact_bytes_match_recorded_table(golden_run):
-    assert artifact_hashes(golden_run) == GOLDEN, (
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_artifact_bytes_match_recorded_table(golden_run, parallel):
+    assert artifact_hashes(golden_run(parallel)) == GOLDEN, (
         f"recorded with float64 log10 dispatched to {GOLDEN_LOG10_TARGET}, "
         f"running with it dispatched to {log10_dispatch_target()}; nwd_db "
         f"{'equals' if nwd_db_matches_math_log10() else 'differs from'} math.log10 on the guard's probe"
@@ -97,6 +107,6 @@ def test_artifact_bytes_match_recorded_table(golden_run):
 
 
 def test_config_covers_partial_and_total_divergence(golden_run):
-    counts = [(r["runs_used"], r["runs_diverged"]) for r in read_summary(golden_run / "summary.csv")]
+    counts = [(r["runs_used"], r["runs_diverged"]) for r in read_summary(golden_run() / "summary.csv")]
     assert any(used > 0 and 0 < diverged < 5 for used, diverged in counts)
     assert (0, 5) in counts

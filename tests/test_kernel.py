@@ -1,12 +1,13 @@
 """The batch kernel against the frozen per-sample loop, row by row, bit for bit.
 
 run_ensemble advances every (algorithm, plant, run) row of a batch of
-algorithms together; scalar_oracle runs the same runs one algorithm and
-one run at a time the way the simulation did before the kernel.  Squared
-errors and NWD curves must be array_equal, the same runs must survive,
-and each diverged run must be dropped at the sample where the loop
-raised.  The steps themselves never raise: the kernel masks each row at
-its first non-finite sample.
+algorithms together on one signal bank and hands each cell's rows to a
+reducer, here one that keeps them; scalar_oracle runs the same runs one
+algorithm and one run at a time the way the simulation did before the
+kernel.  Squared errors and NWD curves must be array_equal, the same runs
+must survive, and each diverged run must be dropped at the sample where
+the loop raised.  The steps themselves never raise: the kernel masks each
+row at its first non-finite sample.
 """
 
 import tracemalloc
@@ -21,7 +22,8 @@ import scalar_oracle
 from fraclms import experiment, simulate
 from fraclms.configfile import bundled_path, load
 from fraclms.filters import FilterConfig, FilterState, FracPowerPolicy, flms_step
-from fraclms.simulate import ALGORITHMS, AlgorithmSpec, ExperimentConfig, PlantSpec, run_ensemble
+from fraclms.metrics import build_report
+from fraclms.simulate import ALGORITHMS, AlgorithmSpec, ExperimentConfig, PlantSpec, run_ensemble, signal_bank
 from states import fresh_state
 
 unit = st.floats(0.05, 0.95)
@@ -92,17 +94,23 @@ def experiments(draw):
     )
 
 
+def keep_rows(squared_error, nwd_db, runs_diverged):
+    """A run_ensemble reducer that keeps a cell's per-run rows."""
+    return squared_error, nwd_db, runs_diverged
+
+
 def assert_rows_match_oracle(algorithms, plants, n_samples, monte_carlo_runs, seed):
-    """Check one batch against the oracle; return its (squared_error, nwd_db, diverged_at) cells, algorithm-major."""
-    cells = run_ensemble(algorithms, plants, n_samples, monte_carlo_runs, seed)
+    """Check one batch against the oracle; return its ((squared_error, nwd_db, runs_diverged), diverged_at) cells."""
+    cells = run_ensemble(algorithms, plants, *signal_bank(n_samples, monte_carlo_runs, seed), keep_rows)
     assert len(cells) == len(algorithms)
     for spec, per_plant in zip(algorithms, cells):
         assert len(per_plant) == len(plants)
-        for plant, (e2, nwd, diverged_at) in zip(plants, per_plant):
+        for plant, ((e2, nwd, runs_diverged), diverged_at) in zip(plants, per_plant):
             ref_series, ref_diverged_at = scalar_oracle.run_ensemble(
                 spec.name, spec.filter, plant, n_samples, monte_carlo_runs, seed
             )
             assert diverged_at == sorted(ref_diverged_at)
+            assert runs_diverged == len(diverged_at)
             # the survivors come in run order; distinct streams give every run its own curve
             assert e2.shape == nwd.shape == (len(ref_series), n_samples)
             for got_e2, got_nwd, ref in zip(e2, nwd, ref_series):
@@ -117,7 +125,7 @@ def test_kernel_rows_equal_scalar_loop(experiment):
     cells = assert_rows_match_oracle(**experiment)
     # steer the search towards batches in which only some runs of a plant diverge
     runs = experiment["monte_carlo_runs"]
-    target(float(sum(0 < len(diverged_at) < runs for per_plant in cells for _, _, diverged_at in per_plant)))
+    target(float(sum(0 < len(diverged_at) < runs for per_plant in cells for _, diverged_at in per_plant)))
 
 
 @pytest.mark.parametrize("algorithm, nu", [("lms", 1.35), ("flms", 0.34), ("rvss-flms", 0.34)])
@@ -129,7 +137,7 @@ def test_partly_diverged_batch_equals_scalar_loop(algorithm, nu):
     )
     plants = [PlantSpec((0.9, 0.3, -0.1), 0.143), PlantSpec((0.9, 0.3, -0.1), 0.091)]
     [cells] = assert_rows_match_oracle([AlgorithmSpec(algorithm, cfg)], plants, 600, 12, seed=12345)
-    lost = [len(diverged_at) for _, _, diverged_at in cells]
+    lost = [len(diverged_at) for _, diverged_at in cells]
     assert all(0 < n < 12 for n in lost), lost
 
 
@@ -175,8 +183,15 @@ def test_frac_order_override_splits_the_batch(lms_order, batched, tmp_path, monk
         steps.append(tuple(spec.name for spec in group))
         return kernel(group, *args)
 
+    def checked_ensemble(group, plants, x, z, reduce):
+        # the grid's one bank, then every row of the batch checked before it is reduced
+        runs, n_samples = x.shape
+        assert all(map(np.array_equal, (x, z), signal_bank(n_samples, runs, config.rng_seed)))
+        cells = assert_rows_match_oracle(group, plants, n_samples, runs, config.rng_seed)
+        return [[(reduce(*rows), lost) for rows, lost in per_plant] for per_plant in cells]
+
     monkeypatch.setattr(simulate, "run_identification", counting_kernel)
-    monkeypatch.setattr(experiment, "run_ensemble", assert_rows_match_oracle)
+    monkeypatch.setattr(experiment, "run_ensemble", checked_ensemble)
     manifest = experiment.run_experiment(config, tmp_path)
     assert steps == batched
     assert list(manifest.batch_seconds) == ["+".join(names) for names in batched]
@@ -199,10 +214,10 @@ def test_merged_batch_memory_is_a_few_row_arrays():
     }
     n_samples, runs = 600, 40
     for name, (algorithms, plants) in batches.items():
-        run_ensemble(algorithms, plants, n_samples, runs, seed=12345)  # warm up numpy's caches
+        run_ensemble(algorithms, plants, *signal_bank(n_samples, runs, 12345), build_report)  # warm up numpy's caches
         tracemalloc.start()
         try:
-            run_ensemble(algorithms, plants, n_samples, runs, seed=12345)
+            run_ensemble(algorithms, plants, *signal_bank(n_samples, runs, 12345), build_report)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -235,7 +250,7 @@ def test_all_diverged_batch_steps_every_sample_and_masks_each_row_once(algorithm
     with np.errstate(all="ignore"):
         [cells] = assert_rows_match_oracle([AlgorithmSpec(algorithm, cfg)], plants, 50, 3, seed=2)
     assert len(calls) == 50
-    assert [diverged_at for _, _, diverged_at in cells] == [[0, 0, 0], [1, 1, 1], [2, 2, 2]]
+    assert [diverged_at for _, diverged_at in cells] == [[0, 0, 0], [1, 1, 1], [2, 2, 2]]
 
 
 def test_step_never_raises_and_rows_stay_independent():

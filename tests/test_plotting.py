@@ -82,6 +82,27 @@ def test_template_cache_is_keyed_by_axis_and_length(tmp_path):
         assert cache.cache_parameters()["maxsize"] is not None
 
 
+FRAMED = {
+    **CASES,
+    # flat near a large value: a stop tolerance scaled by the axis end, not
+    # by the step, drew 20 of 25 y ticks of the first beyond the frame
+    "flat at 1e10": {"a": np.full(5, 1e10)},
+    "flat at -3e12": {"a": np.full(5, -3e12)},
+    "near 1e15": {"a": 1e15 + np.arange(9.0)},
+}
+
+
+@pytest.mark.parametrize("curves", FRAMED.values(), ids=FRAMED.keys())
+def test_every_tick_is_inside_the_frame(curves, tmp_path):
+    text = plot_curves(curves, tmp_path / "c.svg", "MSE (dB)").read_text(encoding="utf-8")
+    bottom = HEIGHT - MARGIN_B
+    y_ticks = [float(y) for y in re.findall(rf'<line x1="{MARGIN_L - 5}" y1="([^"]*)"', text)]
+    x_ticks = [float(x) for x in re.findall(rf'<line x1="([^"]*)" y1="{bottom}"', text)]
+    assert y_ticks and x_ticks
+    assert all(MARGIN_T <= y <= bottom for y in y_ticks), y_ticks
+    assert all(MARGIN_L <= x <= WIDTH - MARGIN_R for x in x_ticks), x_ticks
+
+
 def _cap_address_space():
     cap = 1 << 30
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))

@@ -15,12 +15,13 @@ from fraclms.simulate import (
     bpsk_sequence,
     clean_plant_power,
     plant_output,
-    run_ensemble,
     run_identification,
+    signal_bank,
     snr_to_variance,
     stream,
 )
 from states import fresh_state
+from test_kernel import assert_rows_match_oracle
 
 PAPER_PLANT = PlantSpec(coeffs=(0.9, 0.3, -0.1))
 
@@ -325,6 +326,16 @@ class TestRunIdentification:
 
 
 class TestRunEnsemble:
+    # each batch goes through run_ensemble on signal_bank's draws, its rows
+    # checked bit for bit against the scalar oracle (test_kernel)
+
+    def test_signal_bank_rows_are_the_named_streams(self):
+        x, z = signal_bank(50, 3, seed=77)
+        assert x.shape == z.shape == (3, 50)
+        for r in range(3):
+            assert np.array_equal(x[r], bpsk_sequence(50, stream(77, r, ROLE_INPUT)))
+            assert np.array_equal(z[r], stream(77, r, ROLE_DISTURBANCE).standard_normal(50))
+
     def test_common_random_numbers_across_algorithms(self):
         # identical (seed, run, role) streams mean the first-sample error is
         # identical for every algorithm starting from the same weights
@@ -332,15 +343,17 @@ class TestRunEnsemble:
         cfg = scaled_config()
         first = {}
         for algo in ("lms", "flms", "rvss-flms"):
-            [[(e2, _, _)]] = run_ensemble([AlgorithmSpec(algo, cfg)], [plant], 1, 3, seed=77)
+            [[((e2, _, _), _)]] = assert_rows_match_oracle([AlgorithmSpec(algo, cfg)], [plant], 1, 3, seed=77)
             first[algo] = e2[:, 0].tolist()
         assert first["lms"] == first["flms"] == first["rvss-flms"]
 
     def test_diverged_runs_counted_and_excluded(self):
         cfg = scaled_config(nu_init=2.0, nu_f_init=0.0, nu_min=0.1, nu_max=3.0)
         plant = PlantSpec(coeffs=PAPER_PLANT.coeffs, disturbance_variance=0.0)
-        [[(e2, nwd, diverged_at)]] = run_ensemble([AlgorithmSpec("lms", cfg)], [plant], 600, 4, seed=12)
-        assert len(diverged_at) == 4
+        [[((e2, nwd, runs_diverged), diverged_at)]] = assert_rows_match_oracle(
+            [AlgorithmSpec("lms", cfg)], [plant], 600, 4, seed=12
+        )
+        assert len(diverged_at) == runs_diverged == 4
         assert e2.shape == nwd.shape == (0, 600)
 
     def test_reaches_noise_floor_at_40db_in_most_runs(self):
@@ -349,7 +362,7 @@ class TestRunEnsemble:
         power = clean_plant_power(PAPER_PLANT.coeffs)
         plant = PlantSpec(coeffs=PAPER_PLANT.coeffs, disturbance_variance=snr_to_variance(40.0, power))
         rvss = AlgorithmSpec("rvss-flms", scaled_config())
-        [[(e2, _, diverged_at)]] = run_ensemble([rvss], [plant], 600, 40, seed=30)
+        [[((e2, _, _), diverged_at)]] = assert_rows_match_oracle([rvss], [plant], 600, 40, seed=30)
         assert diverged_at == []
         hits = np.count_nonzero(e2.min(axis=1) < 1e-3)
         assert hits >= 0.95 * len(e2)
