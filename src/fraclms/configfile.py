@@ -21,8 +21,8 @@ Plain INI-style text with three section kinds::
     nu_max = 3e-4
 
 The [filter] keys are the fields of FilterConfig, each read as its
-annotated type, and all of them but frac_power_policy are required.  The
-filter order is not a key: it is the number of plant coeffs.
+annotated type, and all of them are required.  The filter order is not
+a key: it is the number of plant coeffs.
 Unknown sections or keys are hard errors, as is any violated invariant.
 A file is checked in two stages, each reporting all its problems at once:
 its text (sections, keys, values that cannot be read), then, only once
@@ -36,13 +36,13 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import get_type_hints
 
-from .filters import FilterConfig, FracPowerPolicy
+from .filters import FilterConfig
 from .simulate import AlgorithmSpec, ExperimentConfig, PlantSpec
 
 __all__ = ["ConfigError", "loads", "dumps", "load", "bundled_path"]
 
-# The kind of each key's value: int, float, str or FracPowerPolicy, or a
-# one-tuple of one of them for a comma-separated list.
+# The kind of each key's value: int, float or str, or a one-tuple of one
+# of them for a comma-separated list.
 _SECTIONS = {
     "experiment": {
         "snr_db": (float,),
@@ -53,10 +53,8 @@ _SECTIONS = {
     },
     "plant": {"coeffs": (float,)},
 }
-# [filter] is FilterConfig: a key per field, in declaration order except that
-# the optional keys, which may be left to the field's default, come last
-_FILTER_OPTIONAL = ("frac_power_policy",)
-_FILTER = dict(sorted(get_type_hints(FilterConfig).items(), key=lambda item: item[0] in _FILTER_OPTIONAL))
+# [filter] is FilterConfig: a key per field, in declaration order
+_FILTER = get_type_hints(FilterConfig)
 
 
 class ConfigError(ValueError):
@@ -74,18 +72,13 @@ def _value(kind, text: str, where: str, problems: list[str]):
     try:
         return kind(text)
     except ValueError:
-        if kind is FracPowerPolicy:
-            problems.append(f"{where} must be one of {[p.value for p in FracPowerPolicy]}, got {text!r}")
-        else:
-            problems.append(f"{where}: not {'an integer' if kind is int else 'a number'}: {text!r}")
+        problems.append(f"{where}: not {'an integer' if kind is int else 'a number'}: {text!r}")
 
 
 def _text(kind, value) -> str:
     """value written as kind: the mirror of _value."""
     if isinstance(kind, tuple):
         return ", ".join(_text(kind[0], item) for item in value)
-    if kind is FracPowerPolicy:
-        return value.value
     if kind is float:
         return repr(float(value))
     return str(value)
@@ -141,7 +134,7 @@ def loads(text: str) -> ExperimentConfig:
         if override in parser:
             values.update(_check_keys(parser[override], f"[{override}]", _FILTER, _FILTER, problems))
         where = f"filter for {name!r}"
-        values = _check_keys(values, where, _FILTER, _FILTER_OPTIONAL, problems)
+        values = _check_keys(values, where, _FILTER, (), problems)
         kwargs = {key: _value(_FILTER[key], raw, f"{where}: {key}", problems) for key, raw in values.items()}
         filters.append((name, kwargs))
     if problems:

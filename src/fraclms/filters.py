@@ -21,14 +21,12 @@ caller decides what that means.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "FracPowerPolicy",
     "FilterConfig",
     "FilterState",
     "tap_dot",
@@ -39,19 +37,6 @@ __all__ = [
     "flms_step",
     "rvss_flms_step",
 ]
-
-
-class FracPowerPolicy(enum.Enum):
-    """How w**(1-f) is evaluated for non-positive weights.
-
-    Real powers of negative bases are undefined for non-integer exponents,
-    but adaptive weights routinely go negative.  SIGNED_MAGNITUDE uses
-    sign(w)*|w|**a, which keeps the update odd in w; MAGNITUDE_ONLY uses
-    |w|**a.  Both map w=0 to 0.
-    """
-
-    SIGNED_MAGNITUDE = "signed_magnitude"
-    MAGNITUDE_ONLY = "magnitude_only"
 
 
 @dataclass(frozen=True)
@@ -77,8 +62,6 @@ class FilterConfig:
         Geometric step-size decay factor, 0 < beta < 1.
     gamma : float
         Gain on the squared error-energy correlation, > 0.
-    frac_power_policy : FracPowerPolicy
-        Evaluation rule for w**(1-f) at non-positive weights.
     weight_init : float
         Initial value of every tap weight.
     """
@@ -91,7 +74,6 @@ class FilterConfig:
     alpha: float
     beta: float
     gamma: float
-    frac_power_policy: FracPowerPolicy = FracPowerPolicy.SIGNED_MAGNITUDE
     weight_init: float = 0.0
 
     def violations(self) -> list[str]:
@@ -158,16 +140,14 @@ def predict(state: FilterState, x: np.ndarray):
     return tap_dot(w, x)
 
 
-def frac_power(w, exponent: float, policy: FracPowerPolicy = FracPowerPolicy.SIGNED_MAGNITUDE):
-    """Evaluate w**exponent elementwise for exponent in (0, 1) and any real w.
+def frac_power(w, exponent: float):
+    """Evaluate w**exponent elementwise as sign(w)*|w|**exponent, exponent in (0, 1).
 
-    Total function: negative bases go through the configured policy and
-    w = 0 maps to 0 under both policies.
+    A real power of a negative base is undefined for such an exponent, but
+    adaptive weights routinely go negative.  Carrying the sign keeps the
+    update odd in w, and w = 0 maps to 0.
     """
-    mag = np.abs(w) ** exponent
-    if policy is FracPowerPolicy.MAGNITUDE_ONLY:
-        return mag
-    return np.sign(w) * mag
+    return np.sign(w) * np.abs(w) ** exponent
 
 
 def update_correlation(p_prev, e_now, e_prev, alpha: float):
@@ -200,7 +180,7 @@ def flms_step(
     """
     error = desired - predict(state, x)
     f = cfg.frac_order
-    wp = frac_power(state.weights, 1.0 - f, cfg.frac_power_policy)
+    wp = frac_power(state.weights, 1.0 - f)
     w = state.weights + (cfg.nu_init * error) * x + (cfg.nu_f_init * error) * x * wp / math.gamma(2.0 - f)
     return FilterState(weights=w, nu=state.nu, p=state.p, prev_error=error), error
 
@@ -215,7 +195,7 @@ def rvss_flms_step(
     nu are advanced, so the returned state carries nu(n+1).
     """
     error = desired - predict(state, x)
-    wp = frac_power(state.weights, 1.0 - cfg.frac_order, cfg.frac_power_policy)
+    wp = frac_power(state.weights, 1.0 - cfg.frac_order)
     w = state.weights + (state.nu * error) * x * (1.0 + wp)
     p = update_correlation(state.p, error, state.prev_error, cfg.alpha)
     nu = update_step_size(state.nu, p, cfg)

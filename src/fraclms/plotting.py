@@ -50,6 +50,15 @@ def _ticks(lo: float, hi: float) -> list[float] | None:
     return ticks
 
 
+def _labels(ticks: list[float]) -> list[str]:
+    """Each tick as %g, with more significant digits, up to 17, only until no two labels match."""
+    for digits in range(6, 18):
+        labels = [f"{t:.{digits}g}" for t in ticks]
+        if len(set(labels)) == len(labels):
+            break
+    return labels
+
+
 def _sx(x, x_max: int):
     """The pixel x of iteration x (a float, or elementwise an array) on an axis to x_max."""
     return MARGIN_L + (WIDTH - MARGIN_L - MARGIN_R) * x / x_max
@@ -105,7 +114,7 @@ def plot_curves(curves: Mapping[str, np.ndarray], path, ylabel: str) -> Path:
             f'<text x="{px:.2f}" y="{MARGIN_T + ph + 18}" font-family="sans-serif" '
             f'font-size="11" text-anchor="middle">{t:g}</text>'
         )
-    for t in y_ticks:
+    for t, label in zip(y_ticks, _labels(y_ticks)):
         py = sy(t)
         lines.append(
             f'<line x1="{MARGIN_L - 5}" y1="{py:.2f}" x2="{MARGIN_L}" '
@@ -113,7 +122,7 @@ def plot_curves(curves: Mapping[str, np.ndarray], path, ylabel: str) -> Path:
         )
         lines.append(
             f'<text x="{MARGIN_L - 8}" y="{py + 4:.2f}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="end">{t:g}</text>'
+            f'font-size="11" text-anchor="end">{label}</text>'
         )
 
     lines.append(

@@ -201,15 +201,15 @@ def _batch_key(spec: AlgorithmSpec):
     # rvss-flms is the one algorithm on rvss_flms_step, so its batch never
     # holds a second set of step-size constants.
     step_fn, cfg = _dispatch(spec)
-    return step_fn, cfg.frac_order, cfg.frac_power_policy
+    return step_fn, cfg.frac_order
 
 
 def batches(algorithms: Sequence[AlgorithmSpec]) -> list[tuple[AlgorithmSpec, ...]]:
     """Split algorithms into the batches that one step call each can advance.
 
-    Algorithms with the same step function, frac_order and
-    frac_power_policy share a batch: LMS and FLMS by default, with
-    RVSS-FLMS on its own.  Batches and their members keep config order.
+    Algorithms with the same step function and frac_order share a batch:
+    LMS and FLMS by default, with RVSS-FLMS on its own.  Batches and their
+    members keep config order.
     """
     grouped: dict = {}
     for spec in algorithms:
@@ -250,7 +250,7 @@ def run_identification(
     problems = _algorithm_problems(algorithms)
     known = all(spec.name in ALGORITHMS for spec in algorithms)  # _batch_key raises on an unknown name
     if known and len({_batch_key(spec) for spec in algorithms}) > 1:
-        problems.append("a batch's algorithms must share step function, frac_order and policy")
+        problems.append("a batch's algorithms must share step function and frac_order")
     orders = sorted({len(plant.coeffs) for plant in plants})
     if not plants:
         problems.append("plants must be non-empty")

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fraclms.filters import FilterConfig, FracPowerPolicy
+from fraclms.filters import FilterConfig
 from fraclms.simulate import ROLE_DISTURBANCE, ROLE_INPUT, PlantSpec, bpsk_sequence, stream
 
 DB_FLOOR = -320.0
@@ -62,10 +62,8 @@ def predict(state: FilterState, x: np.ndarray) -> float:
     return tap_dot(state.weights, x)
 
 
-def frac_power(w, exponent: float, policy: FracPowerPolicy):
+def frac_power(w, exponent: float):
     mag = np.abs(w) ** exponent
-    if policy is FracPowerPolicy.MAGNITUDE_ONLY:
-        return mag
     return np.sign(w) * mag
 
 
@@ -90,7 +88,7 @@ def _check_finite(weights: np.ndarray, error: float, nu: float, iteration: int) 
 def flms_step(state: FilterState, x: np.ndarray, desired: float, cfg: FilterConfig):
     error = desired - predict(state, x)
     f = cfg.frac_order
-    wp = frac_power(state.weights, 1.0 - f, cfg.frac_power_policy)
+    wp = frac_power(state.weights, 1.0 - f)
     w = state.weights + (cfg.nu_init * error) * x + (cfg.nu_f_init * error) * x * wp / math.gamma(2.0 - f)
     _check_finite(w, error, state.nu, state.iteration)
     new = FilterState(weights=w, nu=state.nu, p=state.p, prev_error=error, iteration=state.iteration + 1)
@@ -99,7 +97,7 @@ def flms_step(state: FilterState, x: np.ndarray, desired: float, cfg: FilterConf
 
 def rvss_flms_step(state: FilterState, x: np.ndarray, desired: float, cfg: FilterConfig):
     error = desired - predict(state, x)
-    wp = frac_power(state.weights, 1.0 - cfg.frac_order, cfg.frac_power_policy)
+    wp = frac_power(state.weights, 1.0 - cfg.frac_order)
     w = state.weights + (state.nu * error) * x * (1.0 + wp)
     p = update_correlation(state.p, error, state.prev_error, cfg.alpha)
     nu = update_step_size(state.nu, p, cfg)

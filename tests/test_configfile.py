@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fraclms.configfile import ConfigError, bundled_path, dumps, load, loads
-from fraclms.filters import FilterConfig, FracPowerPolicy
+from fraclms.filters import FilterConfig
 from fraclms.simulate import ALGORITHMS, AlgorithmSpec, ExperimentConfig, PlantSpec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -50,7 +50,6 @@ def test_parses_good_config():
     fc = cfg.algorithms[0].filter
     assert fc.nu_init == 0.006
     assert fc.weight_init == 1e-20
-    assert fc.frac_power_policy is FracPowerPolicy.SIGNED_MAGNITUDE
 
 
 def test_bundled_paper_config_is_verbatim():
@@ -86,11 +85,10 @@ def test_round_trip():
 
 
 def test_round_trip_with_overrides():
-    text = GOOD + "\n[filter.rvss-flms]\nnu_max = 0.02\nfrac_power_policy = magnitude_only\n"
+    text = GOOD + "\n[filter.rvss-flms]\nnu_max = 0.02\n"
     cfg = loads(text)
     by_name = {a.name: a.filter for a in cfg.algorithms}
     assert by_name["rvss-flms"].nu_max == 0.02
-    assert by_name["rvss-flms"].frac_power_policy is FracPowerPolicy.MAGNITUDE_ONLY
     assert by_name["flms"].nu_max == 0.018
     assert loads(dumps(cfg)) == cfg
 
@@ -208,6 +206,21 @@ def test_tap_count_is_an_unknown_key():
     assert exc.value.problems == ["[filter]: unknown key 'tap_count'"]
 
 
+@pytest.mark.parametrize(
+    "text, section",
+    [
+        (GOOD.replace("[filter]\n", "[filter]\nfrac_power_policy = signed_magnitude\n"), "[filter]"),
+        (GOOD + "\n[filter.rvss-flms]\nfrac_power_policy = magnitude_only\n", "[filter.rvss-flms]"),
+    ],
+    ids=["filter", "override"],
+)
+def test_frac_power_policy_is_an_unknown_key(text, section):
+    # w**(1-f) has one rule, sign(w)*|w|**(1-f), not a key that picks one
+    with pytest.raises(ConfigError) as exc:
+        loads(text)
+    assert exc.value.problems == [f"{section}: unknown key 'frac_power_policy'"]
+
+
 def test_too_few_samples_for_the_plant_order_is_one_problem():
     with pytest.raises(ConfigError) as exc:
         loads(GOOD.replace("samples_per_run = 100", "samples_per_run = 2"))
@@ -229,7 +242,6 @@ def _filter_keys(text):
 def test_dumps_keeps_the_bundled_key_order():
     path = bundled_path("paper.config")
     expected = _filter_keys(path.read_text(encoding="utf-8"))
-    assert expected[-2:] == ["weight_init", "frac_power_policy"]  # not FilterConfig's declaration order
     assert _filter_keys(dumps(load(path))) == expected
 
 
@@ -268,7 +280,6 @@ def _filter_configs(draw):
         alpha=draw(_numbers(unit, st.nothing())),
         beta=draw(_numbers(unit, st.nothing())),
         gamma=draw(_numbers(st.floats(1e-3, 10.0), st.integers(1, 10))),
-        frac_power_policy=draw(st.sampled_from(FracPowerPolicy)),
         weight_init=draw(_numbers(st.floats(-1.0, 1.0), st.integers(-2, 2))),
     )
 

@@ -13,7 +13,6 @@ import pytest
 from fraclms.filters import (
     FilterConfig,
     FilterState,
-    FracPowerPolicy,
     flms_step,
     frac_power,
     predict,
@@ -149,16 +148,13 @@ class TestIntegerGradient:
 
 class TestFracPower:
     def test_positive_branch(self):
-        assert frac_power(4.0, 0.5, FracPowerPolicy.SIGNED_MAGNITUDE) == 2.0
-        assert frac_power(4.0, 0.5, FracPowerPolicy.MAGNITUDE_ONLY) == 2.0
+        assert frac_power(4.0, 0.5) == 2.0
 
     def test_negative_branch(self):
-        assert frac_power(-4.0, 0.5, FracPowerPolicy.SIGNED_MAGNITUDE) == -2.0
-        assert frac_power(-4.0, 0.5, FracPowerPolicy.MAGNITUDE_ONLY) == 2.0
+        assert frac_power(-4.0, 0.5) == -2.0
 
     def test_zero(self):
-        for policy in FracPowerPolicy:
-            assert frac_power(0.0, 0.3, policy) == 0.0
+        assert frac_power(0.0, 0.3) == 0.0
 
     def test_odd_under_signed_magnitude(self):
         rng = np.random.default_rng(5)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import scalar_oracle
 from fraclms import experiment, simulate
 from fraclms.configfile import bundled_path, load
-from fraclms.filters import FilterConfig, FilterState, FracPowerPolicy, flms_step
+from fraclms.filters import FilterConfig, FilterState, flms_step
 from fraclms.metrics import build_report
 from fraclms.simulate import ALGORITHMS, AlgorithmSpec, ExperimentConfig, PlantSpec, run_ensemble, signal_bank
 from states import fresh_state
@@ -63,7 +63,6 @@ def experiments(draw):
         alpha=draw(unit),
         beta=draw(unit),
         gamma=draw(st.floats(0.01, 50.0)),
-        frac_power_policy=draw(st.sampled_from(FracPowerPolicy)),
         weight_init=draw(st.sampled_from((0.0, 1e-20, -0.3, 0.7))),
     )
     plants = draw(

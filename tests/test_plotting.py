@@ -103,6 +103,20 @@ def test_every_tick_is_inside_the_frame(curves, tmp_path):
     assert all(MARGIN_L <= x <= WIDTH - MARGIN_R for x in x_ticks), x_ticks
 
 
+@pytest.mark.parametrize(
+    "curve, labels",
+    [
+        (np.full(5, 1e10), ["9999999999", "9999999999.5", "10000000000", "10000000000.5", "10000000001"]),
+        (1e6 + np.arange(4.0), ["1000000", "1000001", "1000002", "1000003"]),
+    ],
+    ids=["flat at 1e10", "1e6 to 1e6+3"],
+)
+def test_y_labels_get_the_digits_that_tell_them_apart(curve, labels, tmp_path):
+    # six significant digits label every one of these ticks 1e+10 or 1e+06
+    text = plot_curves({"a": curve}, tmp_path / "c.svg", "MSE (dB)").read_text(encoding="utf-8")
+    assert re.findall(r'text-anchor="end">([^<]*)</text>', text) == labels
+
+
 def _cap_address_space():
     cap = 1 << 30
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
