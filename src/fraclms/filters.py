@@ -123,9 +123,13 @@ def tap_dot(a, b):
     one; trailing axes broadcast, also a (K,) a against a (K, ...) b.  Every
     inner product of the simulation goes through here, so each row is
     bit-reproducible against a plain sequential loop in python floats.
+    Below 8 taps one np.add.reduce adds them: numpy sums fewer than 8 terms
+    in order in any layout, but 8 or more in one contiguous run pairwise.
     """
     a = np.asarray(a, dtype=float)
-    prod = a.reshape(a.shape + (1,) * (np.ndim(b) - a.ndim)) * b
+    prod = a * b if a.ndim == np.ndim(b) else a.reshape(a.shape + (1,) * (np.ndim(b) - a.ndim)) * b
+    if len(prod) < 8:
+        return np.add.reduce(prod, axis=0, initial=0.0)
     acc = 0.0
     for i in range(len(prod)):
         acc = acc + prod[i]
@@ -145,9 +149,9 @@ def frac_power(w, exponent: float):
 
     A real power of a negative base is undefined for such an exponent, but
     adaptive weights routinely go negative.  Carrying the sign keeps the
-    update odd in w, and w = 0 maps to 0.
+    update odd in w; copysign keeps the sign of a zero, and NaN stays NaN.
     """
-    return np.sign(w) * np.abs(w) ** exponent
+    return np.copysign(np.abs(w) ** exponent, w)
 
 
 def update_correlation(p_prev, e_now, e_prev, alpha: float):

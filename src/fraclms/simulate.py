@@ -198,8 +198,7 @@ def _dispatch(spec: AlgorithmSpec):
 def _batch_key(spec: AlgorithmSpec):
     # what one step call shares across its rows.  The exponent stays a
     # scalar: numpy's a ** 0.5 is sqrt, which an array exponent is not.
-    # rvss-flms is the one algorithm on rvss_flms_step, so its batch never
-    # holds a second set of step-size constants.
+    # Other constants go per row (run_identification), but alpha: only rvss-flms, alone in its batch, reads it.
     step_fn, cfg = _dispatch(spec)
     return step_fn, cfg.frac_order
 
@@ -231,7 +230,7 @@ def run_identification(
     its own sqrt(disturbance_variance), so the batch has one row per
     (algorithm, plant, run), algorithm-major: row (a*S + s)*R + r is run r
     of algorithms[a] against plants[s].  Each row steps with its own
-    algorithm's nu_init, nu_f_init and weight_init.  The filters have K
+    algorithm's constants other than frac_order and alpha.  The filters have K
     taps, the order that every plant must share, and the regressor window
     uses zero prehistory for the first K - 1 samples.  ValueError lists
     every problem of the batch at once: those of the algorithm list, worded
@@ -275,7 +274,9 @@ def run_identification(
     def per_row(field):  # one value per algorithm -> its (rows,) vector
         return np.repeat(np.array([getattr(cfg, field) for cfg in configs], dtype=float), block)
 
-    step_cfg = replace(configs[0], nu_init=per_row("nu_init"), nu_f_init=per_row("nu_f_init"))
+    # a (rows,) operand costs numpy less than a python float; alpha stays one, or 1.0 - alpha costs an op per step
+    fields = ("nu_init", "nu_f_init", "nu_min", "nu_max", "beta", "gamma")
+    step_cfg = replace(configs[0], **{field: per_row(field) for field in fields})
 
     # the input newest first over k - 1 zeros: sample n's window is the block latest[N-1-n : N-1-n+k]
     latest = np.zeros((n_samples + k - 1, rows))

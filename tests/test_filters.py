@@ -108,6 +108,32 @@ class TestTapDot:
         each = [[tap_dot(coeffs, windows[:, n, r]) for r in range(4)] for n in range(5)]
         assert np.array_equal(self.bits(got), self.bits(each))
 
+    @pytest.mark.parametrize("trailing", [(), (1,), (1, 1), (2,), (16, 40)], ids=str)
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_summation_route_adds_in_tap_order(self, k, trailing):
+        # tap_dot hands fewer than 8 taps to np.add.reduce, resting on numpy's
+        # reduce loop: it adds fewer than 8 terms one by one from the initial
+        # value in any layout, but 8 or more that lie in one contiguous run
+        # (the (K,), (K, 1) and (K, 1, 1) layouts) pairwise, which differs
+        # from tap order in the last bits.  A numpy that moves that boundary
+        # down, or a tap_dot that reduces at 8 taps or more, fails here.
+        rng = np.random.default_rng(k)
+        for draw in range(8 if trailing != (16, 40) else 1):
+            shape = (k,) + trailing
+            a = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 7, size=shape)
+            b = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 7, size=shape)
+            a[rng.random(shape) < 0.2] = 0.0
+            b[rng.random(shape) < 0.2] = -0.0
+            if draw == 1:  # every product a signed zero
+                b[...] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+            want = np.empty(trailing)
+            for col in np.ndindex(trailing):
+                acc = 0.0
+                for i in range(k):
+                    acc += float(a[(i,) + col]) * float(b[(i,) + col])
+                want[col] = acc
+            assert np.array_equal(self.bits(tap_dot(a, b)), self.bits(want))
+
 
 class TestIntegerGradient:
     """The integer-order term of flms_step: -e*x."""
@@ -155,6 +181,24 @@ class TestFracPower:
 
     def test_zero(self):
         assert frac_power(0.0, 0.3) == 0.0
+
+    @pytest.mark.parametrize("a", [0.5, 0.3])
+    def test_bits_of_sign_times_magnitude_at_every_nonzero_w(self, a):
+        rng = np.random.default_rng(6)
+        w = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, size=20000, endpoint=True).view(float)
+        extremes = [np.finfo(float).max, np.finfo(float).smallest_normal, np.finfo(float).smallest_subnormal, 1.0]
+        w = np.concatenate([w[np.isfinite(w) & (w != 0.0)], extremes, np.negative(extremes)])
+        with np.errstate(all="ignore"):
+            want = np.sign(w) * np.abs(w) ** a
+        assert np.array_equal(frac_power(w, a).view(np.int64), want.view(np.int64))
+
+    def test_signed_zero_keeps_its_sign(self):
+        got = frac_power(np.array([0.0, -0.0]), 0.5)
+        assert np.array_equal(got, [0.0, 0.0])
+        assert list(np.signbit(got)) == [False, True]
+
+    def test_nan_stays_nan(self):
+        assert np.isnan(frac_power(np.array([np.nan, -np.nan]), 0.3)).all()
 
     def test_odd_under_signed_magnitude(self):
         rng = np.random.default_rng(5)

@@ -50,10 +50,12 @@ def coefficients(draw, taps):
 
 @st.composite
 def experiments(draw):
-    taps = draw(st.integers(1, 5))
+    taps = draw(st.integers(1, 10))  # tap_dot reduces in one call below 8 taps, loops from 8
     # the update stays stable up to about 2/taps: straddle that edge
     nu_min = draw(st.one_of(st.floats(0.01, 1.0), st.floats(1.5, 3.0))) / taps
     nu_max = nu_min * draw(st.floats(1.01, 2.0))
+    # a -0.0 weight gives a -0.0 fractional power in the kernel (copysign)
+    # and +0.0 in the oracle (np.sign): no output may see the difference
     cfg = FilterConfig(
         frac_order=draw(unit),
         nu_init=draw(st.floats(nu_min, nu_max)),
@@ -63,7 +65,7 @@ def experiments(draw):
         alpha=draw(unit),
         beta=draw(unit),
         gamma=draw(st.floats(0.01, 50.0)),
-        weight_init=draw(st.sampled_from((0.0, 1e-20, -0.3, 0.7))),
+        weight_init=draw(st.sampled_from((0.0, -0.0, 1e-20, -0.3, 0.7))),
     )
     plants = draw(
         st.lists(
@@ -81,7 +83,7 @@ def experiments(draw):
             cfg,
             nu_init=draw(st.floats(nu_min, nu_max)),
             nu_f_init=draw(st.floats(0.0, 3.0)) / taps,
-            weight_init=draw(st.sampled_from((0.0, 1e-20, -0.3, 0.7))),
+            weight_init=draw(st.sampled_from((0.0, -0.0, 1e-20, -0.3, 0.7))),
         )
         algorithms.append(AlgorithmSpec(name, own))
     return dict(
