@@ -92,9 +92,8 @@ class ExperimentManifest:
     # wall seconds from the first curves file to the end of summary.csv; a serial
     # run formats each curves CSV in them, a pooled run only writes it
     artifact_seconds: float
-    # per cell, keyed like artifact_paths["curves"]: the sorted sample index
-    # at which each diverged run was dropped
-    diverged_at: dict
+    # per <algorithm>@<snr>dB cell: {"curves": file name, None if all runs diverged, "diverged_at": [...]}
+    cells: dict
     software_version: str
     timestamp: str
 
@@ -109,10 +108,10 @@ def _snr_tag(snr: float) -> str:
 def _run_batch(args) -> tuple[tuple, list, float]:
     # a module-level function that looks run_ensemble and build_report up per call, so a
     # process pool can pickle it even when they have been wrapped.  Per cell: (report,
-    # diverged_at, its curves CSV text if texts and it kept a run)
+    # its curves CSV text if texts and it kept a run)
     group, plants, x, z, texts = args
     t0 = time.perf_counter()
-    cells = [[(report, lost, _curves_text(report) if texts and report.runs_used else None) for report, lost in per_snr]
+    cells = [[(report, _curves_text(report) if texts and report.runs_used else None) for report in per_snr]
              for per_snr in run_ensemble(group, plants, x, z, build_report)]
     return group, cells, time.perf_counter() - t0
 
@@ -121,9 +120,11 @@ def _remove_previous_run(out: Path) -> None:
     """Delete the files that a manifest already in out lists, then the manifest."""
     manifest = out / "manifest.json"
     try:
-        paths = json.loads(manifest.read_text(encoding="utf-8"))["artifact_paths"]
-        names = [paths["summary"], *paths["curves"].values(), *paths["plots"].values()]
-    except (OSError, ValueError, LookupError, TypeError, AttributeError):
+        old = json.loads(manifest.read_text(encoding="utf-8"))
+        # a name, or a map of names: plots, and curves in a manifest written before the cells map
+        listed = [*old.get("artifact_paths", {}).values(), *(c.get("curves") for c in old.get("cells", {}).values())]
+        names = [name for entry in listed for name in (entry.values() if isinstance(entry, dict) else [entry])]
+    except (OSError, ValueError, AttributeError):
         names = []
     for name in names:
         if not isinstance(name, str) or ".." in name:
@@ -157,8 +158,8 @@ def run_experiment(
     its cells to a report; with parallel > 1 a process pool runs the
     batches, at most one worker per batch, and a worker also formats its
     cells' curves CSVs.  The manifest records how long each batch took,
-    how long the other files took to write and when each diverged run was
-    dropped.
+    how long the other files took to write and, per cell, its curves CSV
+    and when each diverged run was dropped.
     """
     if not isinstance(config, ExperimentConfig):
         config = load(config)
@@ -189,27 +190,24 @@ def run_experiment(
     else:
         results = map(_run_batch, jobs)
 
-    reports: dict[tuple[str, float], EnsembleReport] = {}
-    batch_seconds, diverged_at, texts = {}, {}, {}
-    for group, cells, seconds in results:
+    batch_seconds, done = {}, {}  # done: (algorithm name, snr) -> (report, curves CSV text or None)
+    for group, per_algorithm, seconds in results:
         batch_seconds["+".join(spec.name for spec in group)] = seconds
-        for spec, per_snr in zip(group, cells):
-            for snr, (report, lost, text) in zip(config.snr_db_list, per_snr):
-                diverged_at[f"{spec.name}@{_snr_tag(snr)}"] = lost
-                reports[(spec.name, snr)] = report
-                texts[(spec.name, snr)] = text
+        for spec, per_snr in zip(group, per_algorithm):
+            done.update(((spec.name, snr), cell) for snr, cell in zip(config.snr_db_list, per_snr))
+    reports: dict[tuple[str, float], EnsembleReport] = {key: report for key, (report, _) in done.items()}
 
     # only now: a simulation that aborts leaves no empty directory behind
     out.mkdir(parents=True, exist_ok=True)
     _remove_previous_run(out)
-    artifact_paths: dict = {"curves": {}, "plots": {}, "summary": "summary.csv"}
+    artifact_paths: dict = {"plots": {}, "summary": "summary.csv"}
+    cells = {}
     t0 = time.perf_counter()
-    for (name, snr), report in reports.items():
-        if report.runs_used == 0:
-            continue
-        fname = f"{name}_{_snr_tag(snr)}.csv"
-        (out / fname).write_text(texts[(name, snr)] or _curves_text(report), encoding="utf-8")
-        artifact_paths["curves"][f"{name}@{_snr_tag(snr)}"] = fname
+    for (name, snr), (report, text) in done.items():
+        fname = f"{name}_{_snr_tag(snr)}.csv" if report.runs_used else None
+        if fname:
+            (out / fname).write_text(text or _curves_text(report), encoding="utf-8")
+        cells[f"{name}@{_snr_tag(snr)}"] = {"curves": fname, "diverged_at": report.diverged_at}
 
     for snr in config.snr_db_list:
         per_algo = {LABELS[s.name]: reports[(s.name, snr)] for s in config.algorithms}
@@ -229,7 +227,7 @@ def run_experiment(
         artifact_paths=artifact_paths,
         batch_seconds=batch_seconds,
         artifact_seconds=artifact_seconds,
-        diverged_at=diverged_at,
+        cells=cells,
         software_version=__version__,
         timestamp=datetime.now(timezone.utc).isoformat(),
     )

@@ -45,7 +45,11 @@ class EnsembleReport:
     steady_nwd_db: float
     nwd_conv_iter: Optional[int]
     runs_used: int
-    runs_diverged: int
+    diverged_at: list[int]  # the sorted sample index at which each diverged run was masked
+
+    @property
+    def runs_diverged(self) -> int:
+        return len(self.diverged_at)
 
 
 def weight_distance(truth):
@@ -84,25 +88,32 @@ def nwd_db(distance):
     d = np.asarray(distance, dtype=float)
     if np.any(d < 0.0):
         raise ValueError("a squared distance ratio is negative")
-    zero = d == 0.0
     # only a 1-D array read backwards, output allocated by numpy, skips the SIMD
     # loop for libm per element: a reversed out= view or a 2-D array reversed
-    # along an axis takes SIMD again (test_metrics.py guards the route)
-    db = np.log10(np.where(zero, 1.0, d).ravel()[::-1])[::-1].reshape(d.shape)
+    # along an axis takes SIMD again (test_metrics.py guards the route); a zero's -inf floors to DB_FLOOR
+    with np.errstate(divide="ignore"):
+        db = np.log10(d.ravel()[::-1])[::-1].reshape(d.shape)
     db *= 10.0
-    db[zero] = DB_FLOOR
     return np.maximum(db, DB_FLOOR)
 
 
 def _ensemble_mean(curves) -> np.ndarray:
     """Per-iteration mean of (runs, N) rows, summed row by row in run order.
 
-    Not curves.sum(axis=0): at N = 1 numpy sums the one column pairwise.
+    Not curves.sum(axis=0): at N = 1 numpy sums the one column pairwise.  A
+    column whose sum overflows is summed again over its rows times 2**-64,
+    which is exact, so the mean of finite rows stays finite.
     """
     acc = np.zeros(np.shape(curves)[1])
-    for row in curves:
-        acc += row
-    return acc / len(curves)
+    with np.errstate(over="ignore"):
+        for row in curves:
+            acc += row
+    mean = acc / len(curves)
+    over = np.isinf(acc)
+    if over.any():  # only a sum of finite rows is redone: a column that holds inf stays inf
+        over &= np.isfinite(curves).all(axis=0)
+        mean[over] = _ensemble_mean(curves[:, over] * 2.0**-64) * 2.0**64
+    return mean
 
 
 def steady_state_level(curve_db) -> float:
@@ -127,13 +138,13 @@ def convergence_iteration(curve_db, steady_db: float) -> Optional[int]:
     return n if n < c.size else None
 
 
-def build_report(squared_error, nwd_db, runs_diverged: int = 0) -> EnsembleReport:
-    """Aggregate a cell's non-diverged runs, (runs, N) rows of e**2 and of NWD dB, into an EnsembleReport.
+def build_report(squared_error, nwd_db, diverged_at: list[int]) -> EnsembleReport:
+    """Aggregate a cell's non-diverged runs, (runs, N) rows of e**2 and of NWD dB, and its diverged_at into a report.
 
     With no runs (all diverged) the curves are empty and the levels NaN.
     """
     if len(squared_error) == 0:
-        return EnsembleReport(np.empty(0), np.empty(0), math.nan, None, math.nan, None, 0, runs_diverged)
+        return EnsembleReport(np.empty(0), np.empty(0), math.nan, None, math.nan, None, 0, diverged_at)
     with np.errstate(divide="ignore"):
         mse = np.maximum(10.0 * np.log10(_ensemble_mean(squared_error)), DB_FLOOR)
     nwd = _ensemble_mean(nwd_db)
@@ -147,5 +158,5 @@ def build_report(squared_error, nwd_db, runs_diverged: int = 0) -> EnsembleRepor
         steady_nwd_db=s_nwd,
         nwd_conv_iter=convergence_iteration(nwd, s_nwd),
         runs_used=len(squared_error),
-        runs_diverged=runs_diverged,
+        diverged_at=diverged_at,
     )

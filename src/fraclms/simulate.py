@@ -342,12 +342,11 @@ def run_ensemble(
     x: np.ndarray,
     z: np.ndarray,
     reduce: Callable,
-) -> list[list[tuple[object, list[int]]]]:
+) -> list[list[object]]:
     """Run a batch of algorithms against every plant on a :func:`signal_bank` and reduce each cell.
 
-    Returns, per algorithm and then per plant, (reduce(squared_error,
-    nwd_db, runs_diverged=len(diverged_at)), diverged_at) of each cell of
-    :func:`run_identification`: its per-run rows never leave this call.
+    Returns, per algorithm and then per plant, reduce(squared_error,
+    nwd_db, diverged_at) of each cell of :func:`run_identification`: its
+    per-run rows never leave this call.
     """
-    cells = run_identification(algorithms, plants, x, z)
-    return [[(reduce(e2, nwd, runs_diverged=len(lost)), lost) for e2, nwd, lost in per_plant] for per_plant in cells]
+    return [[reduce(*cell) for cell in per_plant] for per_plant in run_identification(algorithms, plants, x, z)]

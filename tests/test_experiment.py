@@ -28,6 +28,7 @@ from fraclms.experiment import (
     _curves_text,
     _write_summary,
     compare_to_reference,
+    read_curve,
     read_reference,
     read_summary,
     run_experiment,
@@ -87,8 +88,9 @@ class TestRunExperiment:
         assert manifest["software_version"]
         assert manifest["timestamp"]
         assert (out / manifest["artifact_paths"]["summary"]).exists()
-        for fname in manifest["artifact_paths"]["curves"].values():
-            assert (out / fname).exists()
+        assert sorted(manifest["artifact_paths"]) == ["plots", "summary"]
+        for cell in manifest["cells"].values():
+            assert (out / cell["curves"]).exists()
         for fname in manifest["artifact_paths"]["plots"].values():
             assert (out / fname).exists()
 
@@ -189,8 +191,9 @@ class TestRunExperiment:
         kept = [tmp_path / "outside.csv", out / "sub" / "x.csv", out / "unlisted.csv"]
         for path in kept:
             path.write_text("keep")
-        listed = {"a": "../outside.csv", "b": str(kept[0]), "c": "sub/x.csv", "d": "sub", "e": ".."}
-        manifest = {"artifact_paths": {"summary": "summary.csv", "curves": listed, "plots": {}}}
+        listed = ["../outside.csv", str(kept[0]), "sub/x.csv", "sub", ".."]
+        cells = {f"lms@{i}dB": {"curves": name, "diverged_at": []} for i, name in enumerate(listed)}
+        manifest = {"artifact_paths": {"summary": "summary.csv", "plots": {}}, "cells": cells}
         (out / "manifest.json").write_text(json.dumps(manifest))
         run_experiment(loads(SMALL), out, runs=1)
         assert all(path.read_text() == "keep" for path in kept)
@@ -200,15 +203,18 @@ class TestRunExperiment:
 
     def test_manifest_times_every_cell_serial_and_pooled(self, small_run, tmp_path):
         out, _ = small_run
-        run_experiment(loads(SMALL), tmp_path / "pool", runs=1, parallel=2)
-        cells = {f"{a}@{snr}" for a in ("lms", "flms", "rvss-flms") for snr in ("10dB", "30dB")}
+        run_experiment(loads(SMALL), tmp_path / "pool", parallel=2)
+        cells = {
+            f"{a}@{snr}": {"curves": f"{a}_{snr}.csv", "diverged_at": []}
+            for a in ("lms", "flms", "rvss-flms") for snr in ("10dB", "30dB")
+        }
         for path in (out, tmp_path / "pool"):
             manifest = json.loads((path / "manifest.json").read_text())
             seconds = manifest["batch_seconds"]
             assert sorted(seconds) == ["lms+flms", "rvss-flms"]
             assert all(np.isfinite(s) and s > 0 for s in seconds.values())
             assert np.isfinite(manifest["artifact_seconds"]) and manifest["artifact_seconds"] > 0
-            assert manifest["diverged_at"] == {cell: [] for cell in cells}
+            assert manifest["cells"] == cells
 
     def test_seed_override_changes_results(self, small_run, tmp_path):
         out, _ = small_run
@@ -249,7 +255,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("texts", [False, True], ids=["serial", "pooled"])
     def test_batch_result_holds_no_per_run_array(self, texts):
-        # what a pool worker pickles back: reports, diverged_at and curves texts, not (runs, N) rows
+        # what a pool worker pickles back: reports and curves texts, not (runs, N) rows
         config = loads(SMALL)
         plants = [config.plant_at(snr) for snr in config.snr_db_list]
         sizes = []
@@ -366,9 +372,9 @@ class TestCompareToReference:
 
     def test_summary_round_trips_every_report_field(self, tmp_path):
         finite = EnsembleReport(
-            np.empty(0), np.empty(0), -12.345678901234567, None, -0.1 - 0.2, 599, runs_used=7, runs_diverged=3
+            np.empty(0), np.empty(0), -12.345678901234567, None, -0.1 - 0.2, 599, runs_used=7, diverged_at=[4, 4, 90]
         )
-        diverged = EnsembleReport(np.empty(0), np.empty(0), math.nan, None, math.nan, None, 0, runs_diverged=5)
+        diverged = EnsembleReport(np.empty(0), np.empty(0), math.nan, None, math.nan, None, 0, [0, 1, 1, 2, 3])
         _write_summary(tmp_path / "summary.csv", {("flms", 2.5): finite, ("lms", -10.0): diverged})
         rows = {(r["algorithm"], r["snr_db"]): r for r in read_summary(tmp_path / "summary.csv")}
         assert sorted(rows) == [("FLMS", 2.5), ("LMS", -10.0)]
@@ -398,7 +404,7 @@ def constant_report(level, n=20):
         steady_nwd_db=float(level),
         nwd_conv_iter=0,
         runs_used=1,
-        runs_diverged=0,
+        diverged_at=[],
     )
 
 
@@ -634,9 +640,13 @@ class TestCli:
                 assert row["runs_used"] == 2
         assert not list(out.glob("lms_*.csv"))
         manifest = json.loads((out / "manifest.json").read_text())
-        assert sorted(manifest["artifact_paths"]["curves"].values()) == sorted(
+        assert sorted(cell["curves"] for cell in manifest["cells"].values() if cell["curves"]) == sorted(
             p.name for p in out.glob("*.csv") if p.name != "summary.csv"
         )
+        for snr in ("10dB", "30dB"):
+            record = manifest["cells"][f"lms@{snr}"]
+            assert record == {"curves": None, "diverged_at": sorted(record["diverged_at"])}
+            assert len(record["diverged_at"]) == 2 and all(0 <= n < 50 for n in record["diverged_at"])
         for fname in manifest["artifact_paths"]["plots"].values():
             assert (out / fname).read_text().count("<polyline") == 2
 
@@ -661,7 +671,7 @@ class TestCli:
         assert bench == ["lms+flms", "artifacts"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert sorted(manifest["batch_seconds"]) == ["lms+flms"]
-        diverged_at = manifest["diverged_at"]
+        diverged_at = {cell: record["diverged_at"] for cell, record in manifest["cells"].items()}
         assert sorted(diverged_at) == ["flms@10dB", "flms@30dB", "lms@10dB", "lms@30dB"]
         assert diverged_at["flms@10dB"] == diverged_at["flms@30dB"] == []
         for cell in ("lms@10dB", "lms@30dB"):
@@ -754,10 +764,46 @@ class TestCli:
         assert (out / "lms_10dB.csv").exists()
         config.write_text(text + LMS_DIVERGES)
         assert cli.main(["run", str(config), "--out", str(out)]) == 1
-        paths = json.loads((out / "manifest.json").read_text())["artifact_paths"]
-        listed = {paths["summary"], *paths["curves"].values(), *paths["plots"].values()}
+        manifest = json.loads((out / "manifest.json").read_text())
+        paths, cells = manifest["artifact_paths"], manifest["cells"].values()
+        listed = {paths["summary"], *paths["plots"].values(), *(cell["curves"] for cell in cells if cell["curves"])}
         assert {p.name for p in out.iterdir()} == listed | {"manifest.json"}
         assert not (out / "lms_10dB.csv").exists()
+
+    def test_rerun_deletes_the_files_of_a_manifest_without_cells(self, tmp_path, capsys):
+        # a manifest written before the cells map listed the curves CSVs under artifact_paths
+        out = tmp_path / "out"
+        out.mkdir()
+        old = {"lms@5dB": "lms_5dB.csv", "flms@5dB": "flms_5dB.csv"}
+        for name in (*old.values(), "mse_5dB.svg", "unlisted.csv"):
+            (out / name).write_text("old")
+        manifest = {
+            "artifact_paths": {"curves": old, "plots": {"mse@5dB": "mse_5dB.svg"}, "summary": "summary.csv"},
+            "diverged_at": {"lms@5dB": [3], "flms@5dB": []},
+        }
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        config = tmp_path / "tiny.config"
+        config.write_text(SMALL)
+        assert cli.main(["run", str(config), "--out", str(out), "--runs", "1"]) == 0
+        assert not any((out / name).exists() for name in (*old.values(), "mse_5dB.svg"))
+        assert (out / "unlisted.csv").read_text() == "old"
+
+    def test_overflowing_ensemble_mse_exits_0_with_finite_curves(self, tmp_path, capsys):
+        # LMS at nu = 1.35, past its stability edge: 82 of 200 runs diverge,
+        # and the squared errors of the 118 kept ones reach 4.4e307 at the
+        # last sample, where their run-order sum overflows
+        text = SMALL.replace("snr_db = 10, 30", "snr_db = 8").replace("samples_per_run = 64", "samples_per_run = 600")
+        text = text.replace("monte_carlo_runs = 3", "monte_carlo_runs = 200").replace("rng_seed = 7", "rng_seed = 2")
+        text = text.replace("algorithms = lms, flms, rvss-flms", "algorithms = lms")
+        config = tmp_path / "overflow.config"
+        config.write_text(text + "\n[filter.lms]\nnu_init = 1.35\nnu_f_init = 1.35\nnu_min = 1.35\nnu_max = 1.55\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(config), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["cells"]["lms@8dB"]["curves"] == "lms_8dB.csv"
+        assert len(manifest["cells"]["lms@8dB"]["diverged_at"]) == 82
+        for column in ("mse_db", "nwd_db"):
+            assert np.isfinite(read_curve(out / "lms_8dB.csv", column)).all()
 
     def test_bundled_config_fallback(self, tmp_path, capsys):
         out = tmp_path / "from_bundled"

@@ -95,23 +95,27 @@ def experiments(draw):
     )
 
 
-def keep_rows(squared_error, nwd_db, runs_diverged):
+def keep_rows(squared_error, nwd_db, diverged_at):
     """A run_ensemble reducer that keeps a cell's per-run rows."""
-    return squared_error, nwd_db, runs_diverged
+    return squared_error, nwd_db, diverged_at
 
 
 def assert_rows_match_oracle(algorithms, plants, n_samples, monte_carlo_runs, seed):
-    """Check one batch against the oracle; return its ((squared_error, nwd_db, runs_diverged), diverged_at) cells."""
+    """Check one batch against the oracle; return its (squared_error, nwd_db, diverged_at) cells."""
     cells = run_ensemble(algorithms, plants, *signal_bank(n_samples, monte_carlo_runs, seed), keep_rows)
     assert len(cells) == len(algorithms)
     for spec, per_plant in zip(algorithms, cells):
         assert len(per_plant) == len(plants)
-        for plant, ((e2, nwd, runs_diverged), diverged_at) in zip(plants, per_plant):
+        for plant, (e2, nwd, diverged_at) in zip(plants, per_plant):
             ref_series, ref_diverged_at = scalar_oracle.run_ensemble(
                 spec.name, spec.filter, plant, n_samples, monte_carlo_runs, seed
             )
             assert diverged_at == sorted(ref_diverged_at)
-            assert runs_diverged == len(diverged_at)
+            # the report of the cell counts the runs that it lists
+            report = build_report(e2, nwd, diverged_at)
+            assert report.diverged_at is diverged_at
+            assert report.runs_diverged == len(report.diverged_at) == len(ref_diverged_at)
+            assert report.runs_used == len(ref_series)
             # the survivors come in run order; distinct streams give every run its own curve
             assert e2.shape == nwd.shape == (len(ref_series), n_samples)
             for got_e2, got_nwd, ref in zip(e2, nwd, ref_series):
@@ -126,7 +130,7 @@ def test_kernel_rows_equal_scalar_loop(experiment):
     cells = assert_rows_match_oracle(**experiment)
     # steer the search towards batches in which only some runs of a plant diverge
     runs = experiment["monte_carlo_runs"]
-    target(float(sum(0 < len(diverged_at) < runs for per_plant in cells for _, diverged_at in per_plant)))
+    target(float(sum(0 < len(diverged_at) < runs for per_plant in cells for _, _, diverged_at in per_plant)))
 
 
 @pytest.mark.parametrize("algorithm, nu", [("lms", 1.35), ("flms", 0.34), ("rvss-flms", 0.34)])
@@ -138,7 +142,7 @@ def test_partly_diverged_batch_equals_scalar_loop(algorithm, nu):
     )
     plants = [PlantSpec((0.9, 0.3, -0.1), 0.143), PlantSpec((0.9, 0.3, -0.1), 0.091)]
     [cells] = assert_rows_match_oracle([AlgorithmSpec(algorithm, cfg)], plants, 600, 12, seed=12345)
-    lost = [len(diverged_at) for _, diverged_at in cells]
+    lost = [len(diverged_at) for _, _, diverged_at in cells]
     assert all(0 < n < 12 for n in lost), lost
 
 
@@ -189,14 +193,14 @@ def test_frac_order_override_splits_the_batch(lms_order, batched, tmp_path, monk
         runs, n_samples = x.shape
         assert all(map(np.array_equal, (x, z), signal_bank(n_samples, runs, config.rng_seed)))
         cells = assert_rows_match_oracle(group, plants, n_samples, runs, config.rng_seed)
-        return [[(reduce(*rows), lost) for rows, lost in per_plant] for per_plant in cells]
+        return [[reduce(*cell) for cell in per_plant] for per_plant in cells]
 
     monkeypatch.setattr(simulate, "run_identification", counting_kernel)
     monkeypatch.setattr(experiment, "run_ensemble", checked_ensemble)
     manifest = experiment.run_experiment(config, tmp_path)
     assert steps == batched
     assert list(manifest.batch_seconds) == ["+".join(names) for names in batched]
-    assert any(manifest.diverged_at[f"lms@{snr}"] for snr in ("8dB", "10dB"))
+    assert any(manifest.cells[f"lms@{snr}"]["diverged_at"] for snr in ("8dB", "10dB"))
 
 
 def test_merged_batch_memory_is_a_few_row_arrays():
@@ -251,7 +255,7 @@ def test_all_diverged_batch_steps_every_sample_and_masks_each_row_once(algorithm
     with np.errstate(all="ignore"):
         [cells] = assert_rows_match_oracle([AlgorithmSpec(algorithm, cfg)], plants, 50, 3, seed=2)
     assert len(calls) == 50
-    assert [diverged_at for _, diverged_at in cells] == [[0, 0, 0], [1, 1, 1], [2, 2, 2]]
+    assert [diverged_at for _, _, diverged_at in cells] == [[0, 0, 0], [1, 1, 1], [2, 2, 2]]
 
 
 def test_step_never_raises_and_rows_stay_independent():

@@ -8,6 +8,7 @@ import pytest
 
 from fraclms.metrics import (
     DB_FLOOR,
+    _ensemble_mean,
     build_report,
     convergence_iteration,
     nwd_db,
@@ -158,10 +159,10 @@ class TestNwdDb:
             assert nwd_db(weight_distance(truth[perm])(est[perm])) == pytest.approx(base, rel=1e-12)
 
 
-def report(e2, nwd=None, runs_diverged=0):
-    """build_report on (runs, N) rows of squared error and NWD; NWD defaults to zeros."""
+def report(e2, nwd=None, diverged_at=()):
+    """build_report on (runs, N) rows of squared error and NWD; NWD defaults to zeros, diverged_at to none."""
     e2 = np.asarray(e2, dtype=float)
-    return build_report(e2, np.zeros_like(e2) if nwd is None else np.asarray(nwd, dtype=float), runs_diverged)
+    return build_report(e2, np.zeros_like(e2) if nwd is None else np.asarray(nwd, dtype=float), list(diverged_at))
 
 
 class TestEnsembleCurves:
@@ -188,11 +189,12 @@ class TestEnsembleCurves:
         np.testing.assert_allclose(three, single, rtol=1e-14)
 
     def test_empty_ensemble(self):
-        rep = build_report(np.empty((0, 8)), np.empty((0, 8)), runs_diverged=4)
+        rep = build_report(np.empty((0, 8)), np.empty((0, 8)), [0, 3, 3, 7])
         assert rep.mse_db.size == rep.nwd_db.size == 0
         assert math.isnan(rep.steady_mse_db) and math.isnan(rep.steady_nwd_db)
         assert rep.mse_conv_iter is None and rep.nwd_conv_iter is None
         assert (rep.runs_used, rep.runs_diverged) == (0, 4)
+        assert rep.diverged_at == [0, 3, 3, 7]
 
     def test_nwd_curve_is_mean_of_db_values(self):
         out = report([[1.0, 1.0], [1.0, 1.0]], nwd=[[-10.0, -20.0], [-30.0, -40.0]]).nwd_db
@@ -209,6 +211,29 @@ class TestEnsembleCurves:
         rep = report(column, nwd=-column)
         assert rep.nwd_db.tolist() == [-acc / runs]
         assert rep.mse_db.tolist() == [10.0 * np.log10(acc / runs)]
+
+    def test_overflowing_sum_keeps_a_finite_mean(self):
+        # the run-order sum of the first column overflows, its mean does not:
+        # that column is summed again over rows scaled exactly by 2**-64,
+        # with no overflow warning, and the other column is left alone
+        e2 = np.array([[1e308, 1.0], [1e308, 3.0], [1e308, 5.0], [1e308, 7.0]])
+        rep = report(e2, nwd=[[-3080.0, 1e308]] * 4)
+        assert np.isfinite([*rep.mse_db, rep.steady_mse_db, *rep.nwd_db, rep.steady_nwd_db]).all()
+        assert bitwise_equal(rep.mse_db, 10.0 * np.log10(np.array([1e308, 4.0])))
+        assert rep.nwd_db.tolist() == [-3080.0, 1e308]
+
+    def test_infinite_row_keeps_its_column_infinite(self):
+        rep = report([[math.inf, 1e308], [1.0, 1e308]])
+        assert rep.mse_db[0] == math.inf and math.isfinite(rep.mse_db[1])
+
+    def test_overflowing_columns_get_the_mean_of_scaled_rows(self):
+        # 40 rows of 1e-280..1.5e308: the sum of the last column overflows.
+        # Scaling a normal float by 2**-64 is exact, so every column's mean
+        # is that of the scaled rows times 2**64, bit for bit
+        rows = np.random.default_rng(11).uniform(0.5, 1.5, size=(40, 64)) * np.logspace(-280, 308, 64)
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.sum(rows, axis=0)).tolist() == [False] * 63 + [True]
+        assert bitwise_equal(_ensemble_mean(rows), _ensemble_mean(rows * 2.0**-64) * 2.0**64)
 
 
 class TestSteadyStateLevel:
@@ -257,9 +282,10 @@ class TestConvergenceIteration:
 
 class TestBuildReport:
     def test_counts_and_fields(self):
-        rep = report(np.full((3, 8), 0.01), nwd=np.full((3, 8), -15.0), runs_diverged=2)
+        rep = report(np.full((3, 8), 0.01), nwd=np.full((3, 8), -15.0), diverged_at=[5, 9])
         assert rep.runs_used == 3
         assert rep.runs_diverged == 2
+        assert rep.diverged_at == [5, 9]
         assert rep.steady_mse_db == pytest.approx(-20.0, rel=1e-12)
         assert rep.steady_nwd_db == -15.0
         assert rep.mse_conv_iter == 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fraclms.filters import FilterConfig, flms_step, rvss_flms_step
+from fraclms.metrics import build_report
 from fraclms.simulate import (
     ROLE_DISTURBANCE,
     ROLE_INPUT,
@@ -343,18 +344,18 @@ class TestRunEnsemble:
         cfg = scaled_config()
         first = {}
         for algo in ("lms", "flms", "rvss-flms"):
-            [[((e2, _, _), _)]] = assert_rows_match_oracle([AlgorithmSpec(algo, cfg)], [plant], 1, 3, seed=77)
+            [[(e2, _, _)]] = assert_rows_match_oracle([AlgorithmSpec(algo, cfg)], [plant], 1, 3, seed=77)
             first[algo] = e2[:, 0].tolist()
         assert first["lms"] == first["flms"] == first["rvss-flms"]
 
     def test_diverged_runs_counted_and_excluded(self):
         cfg = scaled_config(nu_init=2.0, nu_f_init=0.0, nu_min=0.1, nu_max=3.0)
         plant = PlantSpec(coeffs=PAPER_PLANT.coeffs, disturbance_variance=0.0)
-        [[((e2, nwd, runs_diverged), diverged_at)]] = assert_rows_match_oracle(
-            [AlgorithmSpec("lms", cfg)], [plant], 600, 4, seed=12
-        )
-        assert len(diverged_at) == runs_diverged == 4
+        [[(e2, nwd, diverged_at)]] = assert_rows_match_oracle([AlgorithmSpec("lms", cfg)], [plant], 600, 4, seed=12)
+        report = build_report(e2, nwd, diverged_at)
+        assert len(diverged_at) == report.runs_diverged == 4
         assert e2.shape == nwd.shape == (0, 600)
+        assert report.runs_used == 0
 
     def test_reaches_noise_floor_at_40db_in_most_runs(self):
         # at 40 dB SNR the squared error should drop below 1e-3 within the
@@ -362,7 +363,7 @@ class TestRunEnsemble:
         power = clean_plant_power(PAPER_PLANT.coeffs)
         plant = PlantSpec(coeffs=PAPER_PLANT.coeffs, disturbance_variance=snr_to_variance(40.0, power))
         rvss = AlgorithmSpec("rvss-flms", scaled_config())
-        [[((e2, _, _), diverged_at)]] = assert_rows_match_oracle([rvss], [plant], 600, 40, seed=30)
+        [[(e2, _, diverged_at)]] = assert_rows_match_oracle([rvss], [plant], 600, 40, seed=30)
         assert diverged_at == []
         hits = np.count_nonzero(e2.min(axis=1) < 1e-3)
         assert hits >= 0.95 * len(e2)
