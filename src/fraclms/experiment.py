@@ -22,10 +22,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, simulate
 from .configfile import ConfigError, dumps, load
 from .metrics import EnsembleReport, build_report
-from .simulate import LABELS, ExperimentConfig, batches, run_ensemble, signal_bank
+from .simulate import LABELS, ExperimentConfig, batches, signal_bank, snr_tag
 from .plotting import KINDS, emit_plot
 
 __all__ = [
@@ -101,18 +101,19 @@ class ExperimentManifest:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
-def _snr_tag(snr: float) -> str:
-    return f"{snr:g}dB"
+def run_ensemble(group, plants, x, z) -> list[list[EnsembleReport]]:
+    """Per algorithm and then per plant, the report of each cell of simulate.run_identification."""
+    # run_identification through simulate, build_report as a global here: a tracer wraps those attributes
+    return [[build_report(*cell) for cell in per_plant] for per_plant in simulate.run_identification(group, plants, x, z)]
 
 
 def _run_batch(args) -> tuple[tuple, list, float]:
-    # a module-level function that looks run_ensemble and build_report up per call, so a
-    # process pool can pickle it even when they have been wrapped.  Per cell: (report,
-    # its curves CSV text if texts and it kept a run)
+    # a module-level function that looks run_ensemble up per call, so a process pool can pickle it
+    # even when run_ensemble is wrapped.  Per cell: (report, its curves CSV text if texts and it kept a run)
     group, plants, x, z, texts = args
     t0 = time.perf_counter()
     cells = [[(report, _curves_text(report) if texts and report.runs_used else None) for report in per_snr]
-             for per_snr in run_ensemble(group, plants, x, z, build_report)]
+             for per_snr in run_ensemble(group, plants, x, z)]
     return group, cells, time.perf_counter() - t0
 
 
@@ -155,11 +156,11 @@ def run_experiment(
     Algorithms that share a step function and frac_order are simulated as
     one batch over every SNR and run (LMS and FLMS in one, RVSS-FLMS in
     another) on signals drawn once per grid, and a batch reduces each of
-    its cells to a report; with parallel > 1 a process pool runs the
-    batches, at most one worker per batch, and a worker also formats its
-    cells' curves CSVs.  The manifest records how long each batch took,
-    how long the other files took to write and, per cell, its curves CSV
-    and when each diverged run was dropped.
+    its cells to a report; with parallel > 1 and more than one batch a
+    process pool runs the batches, at most one worker per batch, and a
+    worker also formats its cells' curves CSVs.  The manifest records
+    how long each batch took, how long the other files took to write
+    and, per cell, its curves CSV and when each diverged run was dropped.
     """
     if not isinstance(config, ExperimentConfig):
         config = load(config)
@@ -178,14 +179,16 @@ def run_experiment(
 
     plants = [config.plant_at(snr) for snr in config.snr_db_list]
     x, z = signal_bank(config.samples_per_run, config.monte_carlo_runs, config.rng_seed)
+    groups = batches(config.algorithms)
+    # a fork-started pool forks every worker at once, so start no more than there are batches
+    workers = min(parallel, len(groups))
     # only a pool worker formats curves CSVs ahead: a serial run would just hold every text longer
-    jobs = [(group, plants, x, z, parallel > 1) for group in batches(config.algorithms)]
-    if parallel > 1:
-        # imported here: a serial run never loads multiprocessing
+    jobs = [(group, plants, x, z, workers > 1) for group in groups]
+    if workers > 1:
+        # imported here: a serial run, one batch included, never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # a fork-started pool forks every worker at once, so start no more than there are batches
-        with ProcessPoolExecutor(max_workers=min(parallel, len(jobs))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_batch, jobs))
     else:
         results = map(_run_batch, jobs)
@@ -204,10 +207,10 @@ def run_experiment(
     cells = {}
     t0 = time.perf_counter()
     for (name, snr), (report, text) in done.items():
-        fname = f"{name}_{_snr_tag(snr)}.csv" if report.runs_used else None
+        fname = f"{name}_{snr_tag(snr)}dB.csv" if report.runs_used else None
         if fname:
             (out / fname).write_text(text or _curves_text(report), encoding="utf-8")
-        cells[f"{name}@{_snr_tag(snr)}"] = {"curves": fname, "diverged_at": report.diverged_at}
+        cells[f"{name}@{snr_tag(snr)}dB"] = {"curves": fname, "diverged_at": report.diverged_at}
 
     for snr in config.snr_db_list:
         per_algo = {LABELS[s.name]: reports[(s.name, snr)] for s in config.algorithms}
@@ -215,9 +218,9 @@ def run_experiment(
         if not per_algo:
             continue
         for kind in KINDS:
-            fname = f"{kind}_{_snr_tag(snr)}.svg"
+            fname = f"{kind}_{snr_tag(snr)}dB.svg"
             emit_plot(per_algo, out / fname, kind)
-            artifact_paths["plots"][f"{kind}@{_snr_tag(snr)}"] = fname
+            artifact_paths["plots"][f"{kind}@{snr_tag(snr)}dB"] = fname
 
     _write_summary(out / "summary.csv", reports)
     artifact_seconds = time.perf_counter() - t0
@@ -252,7 +255,7 @@ def _write_summary(path: Path, reports) -> None:
     buf.write(",".join(SUMMARY_FIELDS) + "\n")
     for name, snr in sorted(reports):
         measures = [fmt(getattr(reports[(name, snr)], col)) for col, (fmt, _) in _SUMMARY_COLUMNS.items()]
-        buf.write(",".join([LABELS[name], f"{snr:g}", *measures]) + "\n")
+        buf.write(",".join([LABELS[name], snr_tag(snr), *measures]) + "\n")
     path.write_text(buf.getvalue(), encoding="utf-8")
 
 

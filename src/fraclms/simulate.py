@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -38,8 +38,8 @@ __all__ = [
     "plant_output",
     "batches",
     "signal_bank",
+    "snr_tag",
     "run_identification",
-    "run_ensemble",
 ]
 
 # algorithm name -> display label; _dispatch maps each name to its update
@@ -129,8 +129,8 @@ class ExperimentConfig:
                     variance = math.nan
                 if not (math.isfinite(variance) and variance > 0.0):
                     bad.append(f"snr_db value {snr:g} gives no finite nonzero disturbance variance")
-        # artifacts name an SNR by its :g tag, so values that share one collide (+ 0.0 folds -0.0 into 0.0)
-        tags = [f"{s + 0.0:g}" for s in self.snr_db_list]
+        # artifacts name an SNR by its tag, so values that share one collide
+        tags = [snr_tag(s) for s in self.snr_db_list]
         for tag in sorted({t for t in tags if tags.count(t) > 1}, key=float):
             bad.append(f"snr_db value {tag} listed twice")
         order = len(self.plant.coeffs)
@@ -181,6 +181,11 @@ def plant_output(x: np.ndarray, spec: PlantSpec, z):
     if len(spec.coeffs) != len(x):
         raise ValueError(f"window length {len(x)} does not match plant order {len(spec.coeffs)}")
     return tap_dot(spec.coeffs, x) + z * math.sqrt(spec.disturbance_variance)
+
+
+def snr_tag(snr_db: float) -> str:
+    """How every artifact names an SNR: its %g text, with -0 folded into 0."""
+    return f"{snr_db + 0.0:g}"
 
 
 def _dispatch(spec: AlgorithmSpec):
@@ -335,18 +340,3 @@ def signal_bank(n_samples: int, monte_carlo_runs: int, seed: int) -> tuple[np.nd
         z[r] = stream(seed, r, ROLE_DISTURBANCE).standard_normal(n_samples)
     return x, z
 
-
-def run_ensemble(
-    algorithms: Sequence[AlgorithmSpec],
-    plants: Sequence[PlantSpec],
-    x: np.ndarray,
-    z: np.ndarray,
-    reduce: Callable,
-) -> list[list[object]]:
-    """Run a batch of algorithms against every plant on a :func:`signal_bank` and reduce each cell.
-
-    Returns, per algorithm and then per plant, reduce(squared_error,
-    nwd_db, diverged_at) of each cell of :func:`run_identification`: its
-    per-run rows never leave this call.
-    """
-    return [[reduce(*cell) for cell in per_plant] for per_plant in run_identification(algorithms, plants, x, z)]

@@ -3,10 +3,11 @@
 This is the simulation path as it was before the batch kernel, one run and
 one sample at a time on (K,) weights and python floats: the step
 functions, the plant, the NWD metric and the loop, kept verbatim in their
-arithmetic, operand order and divergence rule.  test_kernel compares every
-row of ``fraclms.simulate.run_ensemble`` with it bit for bit.  It shares
-only the random streams, the BPSK draw and the config classes with the
-package, so a change to the package's arithmetic shows up as a difference.
+arithmetic, operand order and divergence rule.  test_kernel compares
+every row of ``fraclms.simulate.run_identification`` with it bit for bit.
+It shares only the random streams, the BPSK draw and the config classes
+with the package, so a change to the package's arithmetic shows up as a
+difference.
 
 The one change to the loop: run_ensemble also returns the iteration at
 which each diverged run raised, instead of only counting them.

@@ -63,6 +63,22 @@ weight_init = 1e-20
 LMS_DIVERGES = "\n[filter.lms]\nnu_init = 1e4\nnu_min = 1e4\nnu_max = 2e4\n"
 
 
+def pool_modules_loaded(config_text, out, **kwargs):
+    """The process-pool modules that a run_experiment at R=1 loads, printed by a fresh interpreter.
+
+    Fresh: this one may have run a pool for another test.
+    """
+    script = (
+        "import sys\n"
+        "from fraclms.configfile import loads\n"
+        "from fraclms.experiment import run_experiment\n"
+        f"run_experiment(loads({config_text!r}), {str(out)!r}, runs=1, **{kwargs!r})\n"
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(experiment.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
+
+
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("small_run")
@@ -171,19 +187,30 @@ class TestRunExperiment:
         assert requested == [2, 2]
 
     def test_serial_run_never_loads_the_process_pool(self, tmp_path):
-        # in a fresh interpreter: this one may have run a pool for another test
         out = tmp_path / "out"
-        script = (
-            "import sys\n"
-            "from fraclms.configfile import loads\n"
-            "from fraclms.experiment import run_experiment\n"
-            f"run_experiment(loads({SMALL!r}), {str(out)!r}, runs=1)\n"
-            "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(experiment.__file__).resolve().parents[1]))
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-        assert done.stdout == "[]\n"
+        assert pool_modules_loaded(SMALL, out) == "[]\n"
         assert (out / "manifest.json").is_file()
+
+    def test_one_batch_parallel_run_never_loads_the_process_pool(self, tmp_path):
+        # rvss-flms alone is one batch: a pool would run it in one worker for nothing
+        one_batch = SMALL.replace("algorithms = lms, flms, rvss-flms", "algorithms = rvss-flms")
+        out = tmp_path / "out"
+        assert pool_modules_loaded(one_batch, out, parallel=2) == "[]\n"
+        run_experiment(loads(one_batch), tmp_path / "serial", runs=1)
+        written = sorted(path.name for path in out.iterdir())
+        assert written == sorted(path.name for path in (tmp_path / "serial").iterdir())
+        for name in written:
+            if name != "manifest.json":
+                assert (out / name).read_bytes() == (tmp_path / "serial" / name).read_bytes(), name
+
+    def test_negative_zero_snr_takes_the_tag_of_zero(self, tmp_path):
+        # -0 and 0 share the tag 0 (test_configfile: listing both is an error), and everything spells it 0
+        manifest = run_experiment(loads(SMALL.replace("snr_db = 10, 30", "snr_db = -0, 30")), tmp_path, runs=1)
+        names = sorted(path.name for path in tmp_path.iterdir())
+        assert "lms_0dB.csv" in names and "mse_0dB.svg" in names
+        assert not [name for name in names if "-0" in name]
+        assert "lms@0dB" in manifest.cells and "mse@0dB" in manifest.artifact_paths["plots"]
+        assert [row.split(",")[1] for row in (tmp_path / "summary.csv").read_text().splitlines()[1:]] == ["0", "30"] * 3
 
     def test_rerun_unlinks_only_plain_names_inside_out(self, tmp_path):
         out = tmp_path / "out"

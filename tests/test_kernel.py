@@ -1,12 +1,11 @@
 """The batch kernel against the frozen per-sample loop, row by row, bit for bit.
 
-run_ensemble advances every (algorithm, plant, run) row of a batch of
-algorithms together on one signal bank and hands each cell's rows to a
-reducer, here one that keeps them; scalar_oracle runs the same runs one
-algorithm and one run at a time the way the simulation did before the
-kernel.  Squared errors and NWD curves must be array_equal, the same runs
-must survive, and each diverged run must be dropped at the sample where
-the loop raised.  The steps themselves never raise: the kernel masks each
+simulate.run_identification advances every (algorithm, plant, run) row of
+a batch of algorithms together on one signal bank and returns each cell's
+rows; scalar_oracle runs the same runs one algorithm and one run at a time
+the way the simulation did before the kernel.  Squared errors and NWD
+curves must be array_equal, the same runs must survive, and each diverged
+run must be dropped at the sample where the loop raised.  The steps themselves never raise: the kernel masks each
 row at its first non-finite sample.
 """
 
@@ -23,7 +22,7 @@ from fraclms import experiment, simulate
 from fraclms.configfile import bundled_path, load
 from fraclms.filters import FilterConfig, FilterState, flms_step
 from fraclms.metrics import build_report
-from fraclms.simulate import ALGORITHMS, AlgorithmSpec, ExperimentConfig, PlantSpec, run_ensemble, signal_bank
+from fraclms.simulate import ALGORITHMS, AlgorithmSpec, ExperimentConfig, PlantSpec, signal_bank
 from states import fresh_state
 
 unit = st.floats(0.05, 0.95)
@@ -95,14 +94,10 @@ def experiments(draw):
     )
 
 
-def keep_rows(squared_error, nwd_db, diverged_at):
-    """A run_ensemble reducer that keeps a cell's per-run rows."""
-    return squared_error, nwd_db, diverged_at
-
-
 def assert_rows_match_oracle(algorithms, plants, n_samples, monte_carlo_runs, seed):
     """Check one batch against the oracle; return its (squared_error, nwd_db, diverged_at) cells."""
-    cells = run_ensemble(algorithms, plants, *signal_bank(n_samples, monte_carlo_runs, seed), keep_rows)
+    # through the module: test_frac_order_override_splits_the_batch counts the kernel's calls there
+    cells = simulate.run_identification(algorithms, plants, *signal_bank(n_samples, monte_carlo_runs, seed))
     assert len(cells) == len(algorithms)
     for spec, per_plant in zip(algorithms, cells):
         assert len(per_plant) == len(plants)
@@ -188,12 +183,12 @@ def test_frac_order_override_splits_the_batch(lms_order, batched, tmp_path, monk
         steps.append(tuple(spec.name for spec in group))
         return kernel(group, *args)
 
-    def checked_ensemble(group, plants, x, z, reduce):
+    def checked_ensemble(group, plants, x, z):
         # the grid's one bank, then every row of the batch checked before it is reduced
         runs, n_samples = x.shape
         assert all(map(np.array_equal, (x, z), signal_bank(n_samples, runs, config.rng_seed)))
         cells = assert_rows_match_oracle(group, plants, n_samples, runs, config.rng_seed)
-        return [[reduce(*cell) for cell in per_plant] for per_plant in cells]
+        return [[build_report(*cell) for cell in per_plant] for per_plant in cells]
 
     monkeypatch.setattr(simulate, "run_identification", counting_kernel)
     monkeypatch.setattr(experiment, "run_ensemble", checked_ensemble)
@@ -219,10 +214,10 @@ def test_merged_batch_memory_is_a_few_row_arrays():
     }
     n_samples, runs = 600, 40
     for name, (algorithms, plants) in batches.items():
-        run_ensemble(algorithms, plants, *signal_bank(n_samples, runs, 12345), build_report)  # warm up numpy's caches
+        experiment.run_ensemble(algorithms, plants, *signal_bank(n_samples, runs, 12345))  # warm up numpy's caches
         tracemalloc.start()
         try:
-            run_ensemble(algorithms, plants, *signal_bank(n_samples, runs, 12345), build_report)
+            experiment.run_ensemble(algorithms, plants, *signal_bank(n_samples, runs, 12345))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fraclms.configfile import bundled_path, load
 from fraclms.filters import FilterConfig, flms_step, rvss_flms_step
 from fraclms.metrics import build_report
 from fraclms.simulate import (
@@ -327,8 +328,8 @@ class TestRunIdentification:
 
 
 class TestRunEnsemble:
-    # each batch goes through run_ensemble on signal_bank's draws, its rows
-    # checked bit for bit against the scalar oracle (test_kernel)
+    # each batch goes through run_identification on signal_bank's draws, its
+    # rows checked bit for bit against the scalar oracle (test_kernel)
 
     def test_signal_bank_rows_are_the_named_streams(self):
         x, z = signal_bank(50, 3, seed=77)
@@ -367,3 +368,47 @@ class TestRunEnsemble:
         assert diverged_at == []
         hits = np.count_nonzero(e2.min(axis=1) < 1e-3)
         assert hits >= 0.95 * len(e2)
+
+
+def lms_theory_mse(coeffs, variance, nu, weight_init, n_samples):
+    """LMS's mean squared prediction error per sample, from the closed form.
+
+    Under +-1 input and the independence assumption (Widrow & Stearns;
+    Haykin, Adaptive Filter Theory), d_i, the mean-square deviation of tap
+    i, starts at (a_i - weight_init)**2.  At sample n only the first
+    m = min(n+1, K) taps see input (zero prehistory), so MSE(n) = variance
+    + S with S the sum of their d_i, and each of them moves to
+    (1 - 2 nu) d_i + nu**2 (S + variance).
+    """
+    d = [(a - weight_init) ** 2 for a in coeffs]
+    mse = np.empty(n_samples)
+    for n in range(n_samples):
+        m = min(n + 1, len(d))
+        s = sum(d[:m])
+        mse[n] = variance + s
+        d[:m] = [(1 - 2 * nu) * di + nu * nu * (s + variance) for di in d[:m]]
+    return mse
+
+
+def test_lms_follows_its_closed_form_learning_curve():
+    # paper-x60's LMS cells, every run kept: in each window the harness's
+    # mean MSE lies within 4 standard errors of the theory's, in dB, the
+    # error taken from the per-run window means.  4 is a two-sided 1e-4
+    # level per window, about 2e-3 over all 20, and is not tuned: the
+    # largest |z| here is about 1.1
+    config = load(bundled_path("paper-x60.config"))
+    [lms] = [spec for spec in config.algorithms if spec.name == "lms"]
+    plants = [config.plant_at(snr) for snr in config.snr_db_list]
+    x, z = signal_bank(config.samples_per_run, config.monte_carlo_runs, config.rng_seed)
+    [cells] = run_identification([lms], plants, x, z)
+    for snr, plant, (e2, _, diverged_at) in zip(config.snr_db_list, plants, cells):
+        assert diverged_at == [] and len(e2) == 200
+        theory = lms_theory_mse(
+            plant.coeffs, plant.disturbance_variance, lms.filter.nu_init, lms.filter.weight_init, len(e2[0])
+        )
+        for lo, hi in ((0, 50), (50, 150), (150, 300), (300, 450), (450, 600)):
+            per_run = e2[:, lo:hi].mean(axis=1)
+            mean = per_run.mean()
+            diff_db = 10 * math.log10(mean / theory[lo:hi].mean())
+            se_db = 10 / math.log(10) * per_run.std(ddof=1) / math.sqrt(len(per_run)) / mean
+            assert abs(diff_db) <= 4 * se_db, (snr, lo, hi, diff_db, se_db)
