@@ -52,8 +52,8 @@ class FilterConfig:
     nu_init : float
         Initial step size.  FLMS and plain LMS keep it constant.
     nu_f_init : float
-        Step size of the fractional gradient term (FLMS only; plain LMS
-        is FLMS with nu_f_init = 0).
+        Step size of the fractional gradient term.  Plain LMS is FLMS with
+        it at 0, set where the batch kernel builds its per-row vector.
     nu_min, nu_max : float
         Clamp bounds for the RVSS step-size recursion.
     alpha : float
@@ -176,9 +176,10 @@ def flms_step(
     """One FLMS update with constant step sizes nu_init and nu_f_init.
 
     w <- w + nu*e*x + nu_f*e*x*w**(1-f)/gamma(2-f).  With nu_f_init = 0
-    this is exactly the plain LMS recursion.  In a batch, cfg.nu_init and
-    cfg.nu_f_init may be (rows,) vectors, one step size per row; f stays
-    one scalar.
+    this is exactly the plain LMS recursion, so every algorithm but
+    RVSS-FLMS steps here, LMS and FLMS in one call.  In a batch,
+    cfg.nu_init and cfg.nu_f_init may be (rows,) vectors, one step size
+    per row; f stays one scalar.
 
     Returns the advanced state and the prediction error of each row.
     """

@@ -42,7 +42,7 @@ __all__ = [
     "run_identification",
 ]
 
-# algorithm name -> display label; _dispatch maps each name to its update
+# algorithm name -> display label; _batch_key maps each name to its step and batch
 LABELS = {"lms": "LMS", "flms": "FLMS", "rvss-flms": "RVSS-FLMS"}
 ALGORITHMS = tuple(LABELS)
 
@@ -188,32 +188,20 @@ def snr_tag(snr_db: float) -> str:
     return f"{snr_db + 0.0:g}"
 
 
-def _dispatch(spec: AlgorithmSpec):
-    """The step function of an algorithm and the config it steps with."""
-    if spec.name == "lms":
-        # plain LMS is the fractional update with the fractional term off
-        return flms_step, replace(spec.filter, nu_f_init=0.0)
-    if spec.name == "flms":
-        return flms_step, spec.filter
-    if spec.name == "rvss-flms":
-        return rvss_flms_step, spec.filter
-    raise ValueError(f"unknown algorithm {spec.name!r}; expected one of {ALGORITHMS}")
-
-
-def _batch_key(spec: AlgorithmSpec):
-    # what one step call shares across its rows.  The exponent stays a
+def _batch_key(spec: AlgorithmSpec) -> tuple[bool, float]:
+    # what one step call shares across its rows: rvss_flms_step or not (LMS
+    # is FLMS with nu_f_init = 0), and frac_order.  The exponent stays a
     # scalar: numpy's a ** 0.5 is sqrt, which an array exponent is not.
     # Other constants go per row (run_identification), but alpha: only rvss-flms, alone in its batch, reads it.
-    step_fn, cfg = _dispatch(spec)
-    return step_fn, cfg.frac_order
+    return spec.name == "rvss-flms", spec.filter.frac_order
 
 
 def batches(algorithms: Sequence[AlgorithmSpec]) -> list[tuple[AlgorithmSpec, ...]]:
     """Split algorithms into the batches that one step call each can advance.
 
-    Algorithms with the same step function and frac_order share a batch:
-    LMS and FLMS by default, with RVSS-FLMS on its own.  Batches and their
-    members keep config order.
+    Algorithms share a batch when both or neither are RVSS-FLMS and their
+    frac_order agrees: LMS and FLMS by default, with RVSS-FLMS on its own.
+    Batches and their members keep config order.
     """
     grouped: dict = {}
     for spec in algorithms:
@@ -239,7 +227,7 @@ def run_identification(
     taps, the order that every plant must share, and the regressor window
     uses zero prehistory for the first K - 1 samples.  ValueError lists
     every problem of the batch at once: those of the algorithm list, worded
-    as ExperimentConfig.violations words them, then algorithms that cannot
+    as ExperimentConfig.violations words them, then known algorithms that cannot
     share a step, no plants or plants of different orders, an x that is not
     a non-empty 2-D (R, N) array or a z not shaped like it, and every
     invalid plant.
@@ -252,8 +240,7 @@ def run_identification(
     update, and the sorted sample index at which each other run was masked.
     """
     problems = _algorithm_problems(algorithms)
-    known = all(spec.name in ALGORITHMS for spec in algorithms)  # _batch_key raises on an unknown name
-    if known and len({_batch_key(spec) for spec in algorithms}) > 1:
+    if len({_batch_key(spec) for spec in algorithms if spec.name in ALGORITHMS}) > 1:
         problems.append("a batch's algorithms must share step function and frac_order")
     orders = sorted({len(plant.coeffs) for plant in plants})
     if not plants:
@@ -267,21 +254,23 @@ def run_identification(
     problems += [v for plant in plants for v in plant.violations()]  # an all-zero plant among them
     if problems:
         raise ValueError("; ".join(problems))
-    step_fn = _dispatch(algorithms[0])[0]
+    rvss, _ = _batch_key(algorithms[0])
+    step_fn = rvss_flms_step if rvss else flms_step  # looked up per call: perfbench and tests wrap them
     k = orders[0]
     runs, n_samples = x.shape
     truth = np.repeat(np.transpose([plant.coeffs for plant in plants]), runs, axis=1)  # (k, block)
     ratio = weight_distance(np.tile(truth, len(algorithms)))
-    configs = [_dispatch(spec)[1] for spec in algorithms]
     block = len(plants) * runs  # the rows of one algorithm
     rows = len(algorithms) * block
 
     def per_row(field):  # one value per algorithm -> its (rows,) vector
-        return np.repeat(np.array([getattr(cfg, field) for cfg in configs], dtype=float), block)
+        return np.repeat(np.array([getattr(spec.filter, field) for spec in algorithms], dtype=float), block)
 
     # a (rows,) operand costs numpy less than a python float; alpha stays one, or 1.0 - alpha costs an op per step
-    fields = ("nu_init", "nu_f_init", "nu_min", "nu_max", "beta", "gamma")
-    step_cfg = replace(configs[0], **{field: per_row(field) for field in fields})
+    fields = ("nu_init", "nu_min", "nu_max", "beta", "gamma")
+    lms = np.repeat([spec.name == "lms" for spec in algorithms], block)
+    nu_f_init = np.where(lms, 0.0, per_row("nu_f_init"))  # plain LMS is FLMS with the fractional step off
+    step_cfg = replace(algorithms[0].filter, nu_f_init=nu_f_init, **{field: per_row(field) for field in fields})
 
     # the input newest first over k - 1 zeros: sample n's window is the block latest[N-1-n : N-1-n+k]
     latest = np.zeros((n_samples + k - 1, rows))
@@ -294,7 +283,7 @@ def run_identification(
     state = FilterState(np.tile(per_row("weight_init"), (k, 1)), per_row("nu_init"), np.zeros(rows), np.zeros(rows))
     e2 = desired  # a step consumes its row of desired; its error, then squared error, overwrites it
     distance = np.empty((n_samples, rows))
-    nu = np.empty((n_samples, rows)) if step_fn is rvss_flms_step else None  # flms_step keeps nu_init
+    nu = np.empty((n_samples, rows)) if rvss else None  # flms_step keeps nu_init
     recent = np.empty((k, CHUNK, rows))  # the weights after each step of a chunk
     with np.errstate(all="ignore"):
         for start in range(0, n_samples, CHUNK):

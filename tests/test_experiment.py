@@ -163,7 +163,7 @@ class TestRunExperiment:
         run_experiment(loads(SMALL), par, parallel=3)
         assert (par / "summary.csv").read_bytes() == (out / "summary.csv").read_bytes()
 
-    def test_pool_starts_at_most_one_worker_per_cell(self, tmp_path, monkeypatch):
+    def test_pool_starts_at_most_one_worker_per_batch(self, tmp_path, monkeypatch):
         requested = []
 
         class RecordingPool:

@@ -1,16 +1,17 @@
-"""Pin the artifact bytes of one small grid.
+"""Pin the artifact bytes of one small grid and of the paper-scale grid.
 
-The table below holds the SHA-256 of every file `run_experiment` writes
-except the time-stamped manifest.  It was recorded once and must never be
-regenerated from the code under test: a refactor that changes any result,
-a curve digit or an SVG coordinate fails here.  A run on a process pool of
-two workers, whose batches format their own curves CSVs, must write the
-same bytes.
+The tables below hold the SHA-256 of every file `run_experiment` writes
+except the time-stamped manifest.  They were recorded once and must never
+be regenerated from the code under test: a refactor that changes any
+result, a curve digit or an SVG coordinate fails here.  A run on a process
+pool of two workers, whose batches format their own curves CSVs, must
+write the same bytes.
 
 The config is paper-x60 at R=5 and 8/10 dB with large step sizes, so
 FLMS and RVSS-FLMS lose some runs to divergence and every LMS run
 diverges.  That keeps the partly-diverged and the all-diverged paths
-under the pin too.
+under the pin too.  The second table is paper-x60.config verbatim, 200
+runs of 600 samples at seed 12345: the grid the paper's figures come from.
 
 The MSE curves go through numpy's dispatched float64 `log10`, whose last
 bits depend on the CPU target numpy picks for it, so the table holds only
@@ -54,6 +55,31 @@ GOLDEN = {
     "summary.csv": "4b2437c8d61cafd72d07ff61977937134a952b8b772157d20a04fbdc1a5192a9",
 }
 
+# paper-x60.config verbatim, recorded on the same log10 target
+GOLDEN_X60 = {
+    "flms_10dB.csv": "2d18e9b72f3072ed43ce413d4e580fe4f64cadd77fb3387b128983660f017c9e",
+    "flms_20dB.csv": "9a988fc48f0564144fc71adbda41b66660a9c5789d1e0787e53d52db7beb79d1",
+    "flms_30dB.csv": "e5168b1ee63f043fe89041585e494d9a4dadb5e318802183a954353ccaee8a9e",
+    "flms_40dB.csv": "edb225a6e55f9ee12a4e504d8a3ecce48fd9dd0b4273021f19e85fd466aecc05",
+    "lms_10dB.csv": "8f1e4dc7090b2bbf27dfb321fc1faca1af213fd6ca51a6f5071f92ba662a5850",
+    "lms_20dB.csv": "cccd265df03bb96752f84e578e76e44c8ba2be0d073372257a0cb2f9d12c4733",
+    "lms_30dB.csv": "9bdc04c631d70865bf073466405218e8d5a4855cf88a0fcfb9a180bfa12add1c",
+    "lms_40dB.csv": "f51ce8ea8b74fafee71e45ef6cd45a22a4fd0192925a50b925cef2f60652f694",
+    "mse_10dB.svg": "ed332abff43afd876d192de77701ceae6f78ad78555f5db91cbaa2161bf27b3f",
+    "mse_20dB.svg": "c22a692106459f9478c4cb6ff28d107c51a34f63b3fb33bfa6fea5c76884a079",
+    "mse_30dB.svg": "31597e37c39af690f8abad23759bf5e9b1858314960f25cbd6947d9b588ef7f0",
+    "mse_40dB.svg": "5890532a1fb3860cef59ed9bd2f3d5f190b944efc255c7b5e75fbc21a2188f1e",
+    "nwd_10dB.svg": "548ad0ab6448a3e8e6bf656aad539301f27a254737f89524b548bc41724546e0",
+    "nwd_20dB.svg": "c42e066b1c70dce595692004ea6930f10b40df0479894515a00a2fd523f15d3c",
+    "nwd_30dB.svg": "08dfb72a9789b3ea06d03f602ff3a74308f33df70ed21ac89f4459ee3878376f",
+    "nwd_40dB.svg": "938d08d117750c2408c4841e15259aaa9c26194c6f565c06d9358aba52eacfe5",
+    "rvss-flms_10dB.csv": "afc1f4265ce5f0c0f75a4fdae96e5035938a6b55e872a27b14840ad9a881ca6e",
+    "rvss-flms_20dB.csv": "36cce19052e1c9d761463ebf5db5e028248431a476cffc3c825c4b83e76f6fc1",
+    "rvss-flms_30dB.csv": "3fd9d6eebbe47250c5fcd0ae1b2160815e0b1f575a553b9ba66312f3c2c4a43b",
+    "rvss-flms_40dB.csv": "7ea0f733614947e14e270e3cfc668f5cd1725f78bf1a52f48fd7073d6a39fca8",
+    "summary.csv": "a04d77841898deafe7311bd54e3189755cd962f3ebbdfd6e0fb1797b78c53780",
+}
+
 
 def log10_dispatch_target():
     """The CPU target of numpy's float64 log10 loop in this process, or "unknown"."""
@@ -75,6 +101,10 @@ def golden_config():
     return loads(text + LMS_DIVERGES)
 
 
+def x60_config():
+    return loads(bundled_path("paper-x60.config").read_text(encoding="utf-8"))
+
+
 def artifact_hashes(out):
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -85,25 +115,35 @@ def artifact_hashes(out):
 
 @pytest.fixture(scope="module")
 def golden_run(tmp_path_factory):
-    """The output directory of the golden config's run with a given parallel, run once each."""
+    """The output directory of a config's run with a given parallel, run once each."""
     outs = {}
 
-    def run(parallel=1):
-        if parallel not in outs:
-            outs[parallel] = tmp_path_factory.mktemp(f"golden-p{parallel}")
-            run_experiment(golden_config(), outs[parallel], parallel=parallel)
-        return outs[parallel]
+    def run(parallel=1, config=golden_config):
+        key = (config.__name__, parallel)
+        if key not in outs:
+            outs[key] = tmp_path_factory.mktemp(f"{config.__name__}-p{parallel}")
+            run_experiment(config(), outs[key], parallel=parallel)
+        return outs[key]
 
     return run
 
 
-@pytest.mark.parametrize("parallel", [1, 2])
-def test_artifact_bytes_match_recorded_table(golden_run, parallel):
-    assert artifact_hashes(golden_run(parallel)) == GOLDEN, (
+def mismatch_note():
+    return (
         f"recorded with float64 log10 dispatched to {GOLDEN_LOG10_TARGET}, "
         f"running with it dispatched to {log10_dispatch_target()}; nwd_db "
         f"{'equals' if nwd_db_matches_math_log10() else 'differs from'} math.log10 on the guard's probe"
     )
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_artifact_bytes_match_recorded_table(golden_run, parallel):
+    assert artifact_hashes(golden_run(parallel)) == GOLDEN, mismatch_note()
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_paper_scale_artifact_bytes_match_recorded_table(golden_run, parallel):
+    assert artifact_hashes(golden_run(parallel, x60_config)) == GOLDEN_X60, mismatch_note()
 
 
 def test_config_covers_partial_and_total_divergence(golden_run):

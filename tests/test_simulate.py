@@ -254,8 +254,9 @@ class TestRunIdentification:
             ((), "algorithms list must be non-empty"),
             (("amflms",), "unknown algorithm 'amflms'; expected one of ('lms', 'flms', 'rvss-flms')"),
             (("flms", "flms"), "algorithm 'flms' listed twice"),
+            (("amflms", "rvss-flms"), "unknown algorithm 'amflms'; expected one of ('lms', 'flms', 'rvss-flms')"),
         ],
-        ids=["empty", "unknown", "repeated"],
+        ids=["empty", "unknown", "repeated", "unknown-beside-rvss"],
     )
     def test_kernel_words_an_algorithm_list_as_the_config_does(self, names, message):
         batch = tuple(AlgorithmSpec(name, scaled_config()) for name in names)
