@@ -1,5 +1,6 @@
 """
-Reporting metrics: ensemble MSE curves, normalized weight difference,
+Reporting metrics: the dB conversion of the normalized weight difference
+that the simulation kernel measures, ensemble MSE and NWD curves,
 steady-state levels and convergence-iteration detection.
 
 Conventions: MSE is a power quantity and uses 10*log10, NWD is an
@@ -15,14 +16,11 @@ from typing import Optional
 
 import numpy as np
 
-from .filters import tap_dot
-
 __all__ = [
     "DB_FLOOR",
     "TAIL_FRACTION",
     "MARGIN_DB",
     "EnsembleReport",
-    "weight_distance",
     "nwd_db",
     "steady_state_level",
     "convergence_iteration",
@@ -52,38 +50,15 @@ class EnsembleReport:
         return len(self.diverged_at)
 
 
-def weight_distance(truth):
-    """Squared normalized weight distance to truth: est -> ||truth - est||**2 / ||truth||**2.
-
-    truth is one (K,) weight vector or a (K, rows) column per row; its norm
-    is computed and checked once here.  An estimate has truth's shape, or
-    more axes right after the taps: a (K, C, rows) stack of estimates gives
-    (C, rows) ratios, each bitwise equal to the ratio of its own slice.
-    """
-    t = np.asarray(truth, dtype=float)
-    tnorm2 = tap_dot(t, t)
-    if np.any(tnorm2 == 0.0):
-        raise ValueError("truth vector must be nonzero")
-
-    def ratio(estimated):
-        e = np.asarray(estimated, dtype=float)
-        stacked = e.ndim - t.ndim
-        if stacked < 0 or e.shape[:1] + e.shape[1 + stacked :] != t.shape:
-            raise ValueError(f"length mismatch: estimated {e.shape} vs truth {t.shape}")
-        d = t.reshape(t.shape[:1] + (1,) * stacked + t.shape[1:]) - e
-        return tap_dot(d, d) / tnorm2
-
-    return ratio
-
-
 def nwd_db(distance):
     """Normalized weight difference in dB, 20*log10(||truth - est|| / ||truth||).
 
-    Converts each squared distance ratio of :func:`weight_distance` (any
-    shape) with libm's log10, the function math.log10 calls, through
-    numpy's strided fallback loop: np.log10's SIMD loop is 1 ulp off libm
-    on a few percent of inputs, which would change the curves.  A negative
-    ratio raises ValueError, as math.log10 does.
+    Converts each squared distance ratio ||truth - est||**2 / ||truth||**2
+    (any shape), as simulate.run_identification forms it, with libm's
+    log10, the function math.log10 calls, through numpy's strided fallback
+    loop: np.log10's SIMD loop is 1 ulp off libm on a few percent of
+    inputs, which would change the curves.  A negative ratio raises
+    ValueError, as math.log10 does.
     """
     d = np.asarray(distance, dtype=float)
     if np.any(d < 0.0):

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .filters import FilterConfig, FilterState, flms_step, rvss_flms_step, tap_dot
-from .metrics import nwd_db, weight_distance
+from .metrics import nwd_db
 
 __all__ = [
     "LABELS",
@@ -69,6 +69,8 @@ class PlantSpec:
             bad.append(f"plant coeffs must be finite, got {self.coeffs}")
         elif not any(self.coeffs):
             bad.append(f"plant coeffs must not all be zero, got {self.coeffs}")
+        elif not 0.0 < clean_plant_power(self.coeffs) < math.inf:  # the kernel divides each NWD ratio by it
+            bad.append(f"plant coeffs must have a finite, nonzero squared norm, got {self.coeffs}")
         if not (math.isfinite(self.disturbance_variance) and self.disturbance_variance >= 0.0):
             bad.append(f"disturbance_variance must be >= 0, got {self.disturbance_variance}")
         return bad
@@ -160,8 +162,9 @@ def bpsk_sequence(n_samples: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def clean_plant_power(coeffs) -> float:
-    """Output power of the FIR plant under unit-power uncorrelated +-1 input."""
-    return float(tap_dot(coeffs, coeffs))
+    """Output power of the FIR plant under unit-power uncorrelated +-1 input: its squared norm, inf on overflow."""
+    with np.errstate(over="ignore"):  # PlantSpec.violations reports an overflowing norm; numpy need not warn
+        return float(tap_dot(coeffs, coeffs))
 
 
 def snr_to_variance(snr_db: float, signal_power: float) -> float:
@@ -251,15 +254,15 @@ def run_identification(
         problems.append(f"x must be a non-empty 2-D (R, N) array, got shape {np.shape(x)}")
     elif np.shape(z) != np.shape(x):
         problems.append(f"z has shape {np.shape(z)}, x has shape {np.shape(x)}")
-    problems += [v for plant in plants for v in plant.violations()]  # an all-zero plant among them
+    problems += [v for plant in plants for v in plant.violations()]  # a plant the NWD cannot divide by among them
     if problems:
         raise ValueError("; ".join(problems))
     rvss, _ = _batch_key(algorithms[0])
     step_fn = rvss_flms_step if rvss else flms_step  # looked up per call: perfbench and tests wrap them
     k = orders[0]
     runs, n_samples = x.shape
-    truth = np.repeat(np.transpose([plant.coeffs for plant in plants]), runs, axis=1)  # (k, block)
-    ratio = weight_distance(np.tile(truth, len(algorithms)))
+    truth = np.tile(np.repeat(np.transpose([p.coeffs for p in plants]), runs, axis=1), len(algorithms))  # (k, rows)
+    tnorm2 = tap_dot(truth, truth)  # the plant check keeps it finite and nonzero
     block = len(plants) * runs  # the rows of one algorithm
     rows = len(algorithms) * block
 
@@ -294,9 +297,10 @@ def run_identification(
                 recent[:, n - start] = state.weights
                 if nu is not None:
                     nu[n] = state.nu
-            distance[start:stop] = ratio(recent[:, : stop - start])
+            gap = truth[:, None] - recent[:, : stop - start]  # NWD's ratio ||a - w||**2 / ||a||**2 per step
+            distance[start:stop] = tap_dot(gap, gap) / tnorm2
         np.multiply(e2, e2, out=e2)
-    del latest, windows  # free the input before the dB conversion allocates
+    del latest, windows, gap  # free the input and the last gap before the dB conversion allocates
 
     # a row is masked at its first non-finite sample; n_samples: it stayed finite
     bad = ~(np.isfinite(e2) & np.isfinite(distance))

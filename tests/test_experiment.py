@@ -580,6 +580,18 @@ class TestCli:
         assert cli.main(["run", str(config), "--out", str(tmp_path / "o")]) == 2
         assert "nu_max" in capsys.readouterr().err
 
+    def test_plant_with_overflowing_norm_exits_2(self, tmp_path, capsys):
+        # the plant is named once, with no numpy overflow warning and no
+        # snr_db lines: its disturbance variances are not worked out
+        config = tmp_path / "huge.config"
+        config.write_text(SMALL.replace("coeffs = 0.9, 0.3, -0.1", "coeffs = 1e200, 1e200"))
+        out = tmp_path / "o"
+        assert cli.main(["run", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines()[1:] == [
+            "  plant coeffs must have a finite, nonzero squared norm, got (1e+200, 1e+200)"
+        ]
+        assert not out.exists()
+
     def test_frac_power_policy_key_exits_2(self, tmp_path, capsys):
         config = tmp_path / "policy.config"
         config.write_text(SMALL + "frac_power_policy = signed_magnitude\n")

@@ -230,14 +230,27 @@ class TestRunIdentification:
         assert diverged_at == [0]
 
     def test_all_zero_plant_raises_instead_of_masking(self):
-        # ||truth|| = 0 makes every distance ratio non-finite, which would
-        # otherwise mask every run as diverged; it is listed with the batch's other problems
+        # the kernel divides each NWD ratio by ||truth||**2: at 0 every ratio is
+        # non-finite and would mask every run as diverged, so PlantSpec.violations
+        # lists the plant with the batch's other problems
         plant = PlantSpec(coeffs=(0.0, 0.0, 0.0), disturbance_variance=0.01)
         with pytest.raises(ValueError) as info:
             single_run("lms", scaled_config(frac_order=1.5), plant, 10, seed=0)
         assert str(info.value) == (
             "[lms] frac_order must lie in (0, 1), got 1.5; plant coeffs must not all be zero, got (0.0, 0.0, 0.0)"
         )
+
+    @pytest.mark.parametrize("coeffs", [(1e-200,), (1e-170,) * 8, (1e200,)], ids=["tiny", "tiny-8-taps", "huge"])
+    def test_plant_without_finite_nonzero_norm_is_listed(self, coeffs):
+        # ||truth||**2 underflows to 0 or overflows to inf, with no numpy
+        # warning: the plant is one of the batch's problems, not a reason to
+        # mask every run at sample 0.  8 taps take tap_dot's ordered loop
+        plant = PlantSpec(coeffs=coeffs, disturbance_variance=0.01)
+        message = f"plant coeffs must have a finite, nonzero squared norm, got {coeffs}"
+        assert plant.violations() == [message]
+        with pytest.raises(ValueError) as info:
+            single_run("lms", scaled_config(frac_order=1.5), plant, 10, seed=0)
+        assert str(info.value) == f"[lms] frac_order must lie in (0, 1), got 1.5; {message}"
 
     def test_unknown_algorithm_is_listed_with_the_other_problems(self):
         batch = [AlgorithmSpec("amflms", scaled_config(frac_order=1.5))]
